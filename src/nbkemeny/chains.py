@@ -38,18 +38,24 @@ class OrientedEdgeIndex:
     """Lexicographic index of the 2m arcs (u, v) of an undirected graph.
 
     ``rev[i]`` is the position of the reversed arc, an involution with no
-    fixed points.
+    fixed points.  ``succ[i]`` lists, ascending, the arcs leaving the head of
+    arc i.
     """
 
     arcs: tuple[tuple[int, int], ...]
     rev: tuple[int, ...]
+    succ: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_graph(cls, g: Graph) -> "OrientedEdgeIndex":
         arcs = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
         pos = {a: i for i, a in enumerate(arcs)}
         rev = tuple(pos[(v, u)] for u, v in arcs)
-        return cls(tuple(arcs), rev)
+        tails: dict[int, list[int]] = {}
+        for b, (x, _) in enumerate(arcs):
+            tails.setdefault(x, []).append(b)
+        succ = tuple(tuple(tails[v]) for _, v in arcs)
+        return cls(tuple(arcs), rev, succ)
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -172,32 +178,37 @@ def incidence_operators(
     )
 
 
-def edge_adjacency(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
-    """C = S T: arc a -> arc b allowed iff b starts where a ends."""
+def _arc_matrix(
+    g: Graph, idx: OrientedEdgeIndex | None, exact: bool, *, non_backtracking: bool, stochastic: bool
+) -> np.ndarray:
+    """Arc-to-arc matrix over ``idx.succ``: a -> b for every arc b leaving
+    a's head, except rev[a] when non-backtracking.  Entries are 1, or
+    1/(number of such b) when stochastic."""
     if idx is None:
         idx = OrientedEdgeIndex.from_graph(g)
     two_m = len(idx)
-    C = _zeros(two_m, two_m, exact)
-    one = 1 if exact else 1.0
-    tails: dict[int, list[int]] = {}
-    for b, (x, _) in enumerate(idx.arcs):
-        tails.setdefault(x, []).append(b)
-    for a, (_, v) in enumerate(idx.arcs):
-        for b in tails[v]:
-            C[a, b] = one
-    return ChainMatrix("edge-adjacency", C, exact)
+    M = _zeros(two_m, two_m, exact)
+    w = 1 if exact else 1.0
+    for a, nxt in enumerate(idx.succ):
+        if non_backtracking:
+            nxt = [b for b in nxt if b != idx.rev[a]]
+        if stochastic:
+            w = Fraction(1, len(nxt)) if exact else 1.0 / len(nxt)
+        for b in nxt:
+            M[a, b] = w
+    return M
+
+
+def edge_adjacency(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
+    """C = S T: arc a -> arc b allowed iff b starts where a ends."""
+    return ChainMatrix("edge-adjacency", _arc_matrix(
+        g, idx, exact, non_backtracking=False, stochastic=False), exact)
 
 
 def nb_adjacency(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
     """B = S T - tau: edge adjacency with reversals forbidden."""
-    if idx is None:
-        idx = OrientedEdgeIndex.from_graph(g)
-    C = edge_adjacency(g, idx, exact)
-    B = C.data.copy()
-    zero = 0 if exact else 0.0
-    for a in range(len(idx)):
-        B[a, idx.rev[a]] = zero
-    return ChainMatrix("nb-adjacency", B, exact)
+    return ChainMatrix("nb-adjacency", _arc_matrix(
+        g, idx, exact, non_backtracking=True, stochastic=False), exact)
 
 
 def edge_degree_matrix(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
@@ -217,19 +228,8 @@ def edge_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool 
     iso = [v for v in range(g.n) if g.degrees[v] == 0]
     if iso:
         raise ChainError(f"vertex {iso[0]} is isolated; the edge walk is undefined")
-    if idx is None:
-        idx = OrientedEdgeIndex.from_graph(g)
-    two_m = len(idx)
-    P = _zeros(two_m, two_m, exact)
-    tails: dict[int, list[int]] = {}
-    for b, (x, _) in enumerate(idx.arcs):
-        tails.setdefault(x, []).append(b)
-    for a, (_, v) in enumerate(idx.arcs):
-        d = g.degrees[v]
-        w = Fraction(1, d) if exact else 1.0 / d
-        for b in tails[v]:
-            P[a, b] = w
-    return ChainMatrix("edge", P, exact)
+    return ChainMatrix("edge", _arc_matrix(
+        g, idx, exact, non_backtracking=False, stochastic=True), exact)
 
 
 def nb_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
@@ -247,21 +247,8 @@ def nb_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = 
         )
     if profile(g).is_cycle:
         raise ChainError("graph is a cycle; the non-backtracking walk is reducible")
-    if idx is None:
-        idx = OrientedEdgeIndex.from_graph(g)
-    two_m = len(idx)
-    P = _zeros(two_m, two_m, exact)
-    tails: dict[int, list[int]] = {}
-    for b, (x, _) in enumerate(idx.arcs):
-        tails.setdefault(x, []).append(b)
-    for a, (u, v) in enumerate(idx.arcs):
-        d = g.degrees[v] - 1
-        w = Fraction(1, d) if exact else 1.0 / d
-        back = idx.rev[a]
-        for b in tails[v]:
-            if b != back:
-                P[a, b] = w
-    return ChainMatrix("non-backtracking", P, exact)
+    return ChainMatrix("non-backtracking", _arc_matrix(
+        g, idx, exact, non_backtracking=True, stochastic=True), exact)
 
 
 _BUILDERS = {

@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 
 from . import census as census_mod
 from . import chains, engine, formulas, graphs
+from .engine import EXACT_STATE_CAP
 from .ratmath import format_scalar
-
-EXACT_STATE_CAP = 64
 
 
 class CliError(ValueError):
@@ -109,8 +108,7 @@ def _cmd_compute(args) -> int:
             raise CliError(
                 f"exact mode needs at most {EXACT_STATE_CAP} states per walk; "
                 f"this graph has {states} (use --mode auto or float)")
-    report = engine.kemeny_triple(g, mode=args.mode, cap=EXACT_STATE_CAP,
-                                  tol=args.tol)
+    report = engine.kemeny_triple(g, mode=args.mode, tol=args.tol)
     if report.nb_omitted is not None:
         raise CliError(report.nb_omitted)
     if args.output == "json":
@@ -379,9 +377,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             census_mod.CensusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except engine.CrossCheckError as exc:
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return 2
     except engine.EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

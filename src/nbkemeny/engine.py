@@ -28,15 +28,13 @@ from .graphs import Graph, profile
 
 Scalar = Union[Fraction, float]
 
+# Largest walk, in states, that mode 'auto' computes in exact rationals.
+EXACT_STATE_CAP = 64
+
 
 class EngineError(RuntimeError):
     """Raised when a walk computation cannot proceed (reducible chain,
     non-simple unit eigenvalue, disconnected graph)."""
-
-
-class CrossCheckError(EngineError):
-    """Raised when independently computed route values disagree beyond
-    tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,6 @@ def _max_pairwise(vals: dict[str, Scalar]) -> float:
 def kemeny_triple(
     g: Graph,
     mode: str = "auto",
-    cap: int = 64,
     tol: float = 1e-9,
 ) -> KemenyReport:
     """Compute and cross-validate the three Kemeny constants of a graph.
@@ -460,9 +457,7 @@ def kemeny_triple(
         Connected graph on at least two vertices.
     mode : {'auto', 'exact', 'float'}
         Scalar mode; 'auto' uses exact rationals for walks with at most
-        ``cap`` states and floats beyond.
-    cap : int
-        State-count cap for auto-exact.
+        ``EXACT_STATE_CAP`` states and floats beyond.
     tol : float
         Tolerance for route residuals and the shift identity; exceeding it
         sets the ``failed`` flag.
@@ -484,7 +479,7 @@ def kemeny_triple(
             return True
         if mode == "float":
             return False
-        return states <= cap
+        return states <= EXACT_STATE_CAP
 
     routes: dict[str, dict[str, Scalar]] = {}
     residuals: dict[str, float] = {}

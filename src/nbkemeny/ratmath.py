@@ -1,9 +1,10 @@
 """Exact rational and integer linear algebra kernels.
 
-Everything here is denominator-aware: solves run over Fraction, determinants
-and polynomial extraction run over plain Python ints after clearing row
-denominators (Bareiss stays division-exact, so no Fraction overhead in the
-hot loops).
+Everything here is denominator-aware: rational inputs are cleared of their
+row denominators, and one fraction-free (Bareiss) elimination over plain
+Python ints serves solves, inverses and determinants.  Every division in it
+is exact, so no Fraction arithmetic runs in the hot loops; solutions become
+Fractions only at the end.
 """
 
 from __future__ import annotations
@@ -15,72 +16,18 @@ from typing import Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def exact_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:
-    """Solve A x = b by Gaussian elimination over Fraction.
+def _bareiss(M: list[list[int]], n: int) -> int:
+    """Fraction-free forward elimination of integer rows, in place.
 
-    Raises ValueError if A is singular.
+    Pivots in the first n columns and carries any further columns along as
+    right-hand sides.  Afterwards M[k][k] is the k-th leading principal minor
+    of the row-permuted matrix.  Returns the permutation sign, or 0 if the
+    first n columns are singular.
     """
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for k in range(n):
-        p = k
-        while p < n and M[p][k] == 0:
-            p += 1
-        if p == n:
-            raise ValueError("singular system")
-        M[k], M[p] = M[p], M[k]
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            if M[i][k]:
-                f = M[i][k] / pk
-                Mi, Mk = M[i], M[k]
-                Mi[k] = Fraction(0)
-                for j in range(k + 1, n + 1):
-                    Mi[j] -= f * Mk[j]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = M[i][n]
-        Mi = M[i]
-        for j in range(i + 1, n):
-            s -= Mi[j] * x[j]
-        x[i] = s / Mi[i]
-    return x
-
-
-def exact_inverse(A: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Invert a matrix over Fraction (Gauss-Jordan)."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] +
-         [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        p = k
-        while p < n and M[p][k] == 0:
-            p += 1
-        if p == n:
-            raise ValueError("singular matrix")
-        M[k], M[p] = M[p], M[k]
-        pk = M[k][k]
-        Mk = M[k]
-        for j in range(k, 2 * n):
-            Mk[j] /= pk
-        for i in range(n):
-            if i != k and M[i][k]:
-                f = M[i][k]
-                Mi = M[i]
-                for j in range(k, 2 * n):
-                    Mi[j] -= f * Mk[j]
-    return [row[n:] for row in M]
-
-
-def bareiss_det(M: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destroys M)."""
-    n = len(M)
-    if n == 0:
-        return 1
+    width = len(M[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if M[k][k] == 0:
             for r in range(k + 1, n):
                 if M[r][k]:
@@ -95,14 +42,57 @@ def bareiss_det(M: list[list[int]]) -> int:
             Mi = M[i]
             mik = Mi[k]
             if mik:
-                for j in range(k + 1, n):
+                for j in range(k + 1, width):
                     Mi[j] = (Mi[j] * pk - mik * Mk[j]) // prev
                 Mi[k] = 0
             elif prev != pk:
-                for j in range(k + 1, n):
+                for j in range(k + 1, width):
                     Mi[j] = (Mi[j] * pk) // prev
         prev = pk
-    return sign * M[n - 1][n - 1]
+    return sign
+
+
+def _solve(rows: list[list[Scalar]], n: int, what: str) -> list[list[Fraction]]:
+    """Solve A X = B exactly from the rows of [A | B], A being n x n.
+
+    After elimination det * X is integral, so back-substitution runs on it
+    over integers and every division is exact.
+    """
+    _, M = clear_row_denominators(rows)
+    if not _bareiss(M, n):
+        raise ValueError(f"singular {what}")
+    det = M[n - 1][n - 1]
+    X: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        Mi = M[i]
+        X[i] = [(det * Mi[c] - sum(Mi[j] * X[j][c - n] for j in range(i + 1, n))) // Mi[i]
+                for c in range(n, len(Mi))]
+    return [[Fraction(v, det) for v in row] for row in X]
+
+
+def exact_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:
+    """Solve A x = b exactly, by fraction-free elimination over integers.
+
+    Raises ValueError if A is singular.
+    """
+    return [row[0] for row in _solve([[*r, bi] for r, bi in zip(A, b)], len(A), "system")]
+
+
+def exact_inverse(A: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """Invert a matrix exactly, by fraction-free elimination of [A | I].
+
+    Raises ValueError if A is singular.
+    """
+    n = len(A)
+    return _solve([[*r] + [int(i == j) for j in range(n)] for i, r in enumerate(A)], n, "matrix")
+
+
+def bareiss_det(M: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (destroys M)."""
+    n = len(M)
+    if n == 0:
+        return 1
+    return _bareiss(M, n) * M[n - 1][n - 1]
 
 
 def clear_row_denominators(

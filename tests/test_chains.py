@@ -47,6 +47,13 @@ class TestOrientedEdgeIndex:
             u, v = idx.arcs[a]
             assert idx.arcs[r] == (v, u)
 
+    def test_successor_table(self, graph):
+        idx = OrientedEdgeIndex.from_graph(graph)
+        for a, (_, v) in enumerate(idx.arcs):
+            want = [b for b, (x, _) in enumerate(idx.arcs) if x == v]
+            assert list(idx.succ[a]) == want
+            assert len(idx.succ[a]) == graph.degrees[v]
+
     def test_position_lookup(self):
         g = gen_cycle(4)
         idx = OrientedEdgeIndex.from_graph(g)

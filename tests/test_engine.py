@@ -303,7 +303,7 @@ class TestTriple:
 
     def test_auto_mode_splits_on_cap(self):
         g = gen_necklace(5)  # n = 22 states for the vertex walk, 2m = 66
-        rep = kemeny_triple(g, mode="auto", cap=64)
+        rep = kemeny_triple(g, mode="auto")
         assert rep.modes["vertex"] == "exact"
         assert rep.modes["edge"] == "float"
 

@@ -23,13 +23,29 @@ def random_int_matrix(n, rng, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
+# rows with unequal denominators, the shape every engine caller passes
+FRACTION_MATRIX = [[Fraction(1, 2), Fraction(1, 3), 0],
+                   [Fraction(2, 5), 1, Fraction(-1, 7)],
+                   [0, Fraction(3, 4), Fraction(5, 6)]]
+# zero (0, 0) pivot forces a row swap; the determinant is -13
+SWAP_MATRIX = [[0, 2, 1], [3, 1, 0], [1, 0, 2]]
+
+
+def nonsingular_cases(rng, sizes):
+    for n in sizes:
+        A = random_int_matrix(n, rng)
+        while abs(np.linalg.det(np.array(A, dtype=float))) < 0.5:
+            A = random_int_matrix(n, rng)
+        yield A
+    yield FRACTION_MATRIX
+    yield SWAP_MATRIX
+
+
 class TestSolve:
     def test_matches_numpy(self):
         rng = random.Random(11)
-        for n in (1, 2, 5, 8):
-            A = random_int_matrix(n, rng)
-            while abs(np.linalg.det(np.array(A, dtype=float))) < 0.5:
-                A = random_int_matrix(n, rng)
+        for A in nonsingular_cases(rng, (1, 2, 5, 8)):
+            n = len(A)
             b = [rng.randint(-9, 9) for _ in range(n)]
             x = exact_solve(A, b)
             want = np.linalg.solve(np.array(A, dtype=float),
@@ -42,16 +58,19 @@ class TestSolve:
     def test_singular_raises(self):
         with pytest.raises(ValueError):
             exact_solve([[1, 2], [2, 4]], [1, 1])
+        with pytest.raises(ValueError):
+            exact_inverse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+        with pytest.raises(ValueError):
+            exact_inverse([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]])
 
     def test_inverse(self):
         rng = random.Random(3)
-        A = random_int_matrix(4, rng)
-        while abs(np.linalg.det(np.array(A, dtype=float))) < 0.5:
-            A = random_int_matrix(4, rng)
-        inv = exact_inverse(A)
-        prod = [[sum(Fraction(A[i][k]) * inv[k][j] for k in range(4))
-                 for j in range(4)] for i in range(4)]
-        assert prod == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        for A in nonsingular_cases(rng, (4,)):
+            n = len(A)
+            inv = exact_inverse(A)
+            prod = [[sum(Fraction(A[i][k]) * inv[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)]
+            assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 class TestDeterminant:
@@ -61,6 +80,7 @@ class TestDeterminant:
             A = random_int_matrix(n, rng)
             want = round(np.linalg.det(np.array(A, dtype=float)))
             assert bareiss_det([row[:] for row in A]) == want
+        assert bareiss_det([row[:] for row in SWAP_MATRIX]) == -13
 
     def test_singular_is_zero(self):
         A = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
