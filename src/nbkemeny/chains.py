@@ -5,8 +5,9 @@ walks live on the 2m oriented edges (arcs).  Arcs are ordered
 lexicographically by (tail, head), which fixes the layout of every
 2m-dimensional matrix in the package.
 
-All builders take an ``exact`` flag: exact matrices hold Fraction/int entries
-in an object-dtype numpy array, float matrices are plain float64.
+All builders take an ``exact`` flag and write into an array of that mode:
+an object-dtype array of ints and Fractions, or a float64 array, where the
+integer entries convert on assignment.  The array's dtype is the mode.
 """
 
 from __future__ import annotations
@@ -84,20 +85,20 @@ class ChainMatrix:
 
     kind: str
     data: np.ndarray
-    exact: bool
 
     def __post_init__(self):
         if self.kind in TRANSITION_KINDS:
             r, c = self.data.shape
             if r != c:
                 raise ChainError(f"{self.kind} transition matrix must be square")
-            sums = self.data.sum(axis=1)
-            if self.exact:
-                bad = [i for i, s in enumerate(sums) if s != 1]
-            else:
-                bad = [i for i, s in enumerate(sums) if abs(s - 1.0) > 1e-12]
+            tol = 0 if self.exact else 1e-12
+            bad = [i for i, s in enumerate(self.data.sum(axis=1)) if abs(s - 1) > tol]
             if bad:
                 raise ChainError(f"row {bad[0]} of {self.kind} matrix is not stochastic")
+
+    @property
+    def exact(self) -> bool:
+        return self.data.dtype == object
 
     @property
     def order(self) -> int:
@@ -108,9 +109,7 @@ class ChainMatrix:
         return self.data.shape
 
     def as_float(self) -> np.ndarray:
-        if self.data.dtype == object:
-            return np.array([[float(x) for x in row] for row in self.data], dtype=float)
-        return self.data
+        return self.data.astype(float, copy=False)
 
 
 def _zeros(rows: int, cols: int, exact: bool) -> np.ndarray:
@@ -119,20 +118,26 @@ def _zeros(rows: int, cols: int, exact: bool) -> np.ndarray:
     return np.zeros((rows, cols))
 
 
+def _one(exact: bool) -> Fraction | float:
+    """1 in the scalar mode, to divide into transition weights.  Writing
+    Fractions into float64 arrays would call ``__float__`` per entry, several
+    times slower; the census builds two float arc matrices per graph."""
+    return Fraction(1) if exact else 1.0
+
+
 def adjacency_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
     A = _zeros(g.n, g.n, exact)
-    one = 1 if exact else 1.0
     for u, v in g.edges:
-        A[u, v] = one
-        A[v, u] = one
-    return ChainMatrix("adjacency", A, exact)
+        A[u, v] = 1
+        A[v, u] = 1
+    return ChainMatrix("adjacency", A)
 
 
 def degree_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
     D = _zeros(g.n, g.n, exact)
     for v in range(g.n):
-        D[v, v] = g.degrees[v] if exact else float(g.degrees[v])
-    return ChainMatrix("degree", D, exact)
+        D[v, v] = g.degrees[v]
+    return ChainMatrix("degree", D)
 
 
 def vertex_transition(g: Graph, exact: bool = False) -> ChainMatrix:
@@ -141,14 +146,11 @@ def vertex_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     if iso:
         raise ChainError(f"vertex {iso[0]} is isolated; the vertex walk is undefined")
     P = _zeros(g.n, g.n, exact)
+    one = _one(exact)
     for u, v in g.edges:
-        if exact:
-            P[u, v] = Fraction(1, g.degrees[u])
-            P[v, u] = Fraction(1, g.degrees[v])
-        else:
-            P[u, v] = 1.0 / g.degrees[u]
-            P[v, u] = 1.0 / g.degrees[v]
-    return ChainMatrix("vertex", P, exact)
+        P[u, v] = one / g.degrees[u]
+        P[v, u] = one / g.degrees[v]
+    return ChainMatrix("vertex", P)
 
 
 def incidence_operators(
@@ -166,15 +168,14 @@ def incidence_operators(
     T = _zeros(g.n, two_m, exact)
     S = _zeros(two_m, g.n, exact)
     tau = _zeros(two_m, two_m, exact)
-    one = 1 if exact else 1.0
     for a, (u, v) in enumerate(idx.arcs):
-        T[u, a] = one
-        S[a, v] = one
-        tau[a, idx.rev[a]] = one
+        T[u, a] = 1
+        S[a, v] = 1
+        tau[a, idx.rev[a]] = 1
     return (
-        ChainMatrix("incidence-T", T, exact),
-        ChainMatrix("incidence-S", S, exact),
-        ChainMatrix("reversal", tau, exact),
+        ChainMatrix("incidence-T", T),
+        ChainMatrix("incidence-S", S),
+        ChainMatrix("reversal", tau),
     )
 
 
@@ -188,12 +189,13 @@ def _arc_matrix(
         idx = OrientedEdgeIndex.from_graph(g)
     two_m = len(idx)
     M = _zeros(two_m, two_m, exact)
-    w = 1 if exact else 1.0
+    one = _one(exact)
+    w = 1
     for a, nxt in enumerate(idx.succ):
         if non_backtracking:
             nxt = [b for b in nxt if b != idx.rev[a]]
         if stochastic:
-            w = Fraction(1, len(nxt)) if exact else 1.0 / len(nxt)
+            w = one / len(nxt)
         for b in nxt:
             M[a, b] = w
     return M
@@ -202,13 +204,13 @@ def _arc_matrix(
 def edge_adjacency(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
     """C = S T: arc a -> arc b allowed iff b starts where a ends."""
     return ChainMatrix("edge-adjacency", _arc_matrix(
-        g, idx, exact, non_backtracking=False, stochastic=False), exact)
+        g, idx, exact, non_backtracking=False, stochastic=False))
 
 
 def nb_adjacency(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
     """B = S T - tau: edge adjacency with reversals forbidden."""
     return ChainMatrix("nb-adjacency", _arc_matrix(
-        g, idx, exact, non_backtracking=True, stochastic=False), exact)
+        g, idx, exact, non_backtracking=True, stochastic=False))
 
 
 def edge_degree_matrix(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
@@ -218,8 +220,8 @@ def edge_degree_matrix(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bo
     two_m = len(idx)
     D = _zeros(two_m, two_m, exact)
     for a, (_, v) in enumerate(idx.arcs):
-        D[a, a] = g.degrees[v] if exact else float(g.degrees[v])
-    return ChainMatrix("edge-degree", D, exact)
+        D[a, a] = g.degrees[v]
+    return ChainMatrix("edge-degree", D)
 
 
 def edge_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
@@ -229,7 +231,7 @@ def edge_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool 
     if iso:
         raise ChainError(f"vertex {iso[0]} is isolated; the edge walk is undefined")
     return ChainMatrix("edge", _arc_matrix(
-        g, idx, exact, non_backtracking=False, stochastic=True), exact)
+        g, idx, exact, non_backtracking=False, stochastic=True))
 
 
 def nb_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
@@ -248,7 +250,7 @@ def nb_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = 
     if profile(g).is_cycle:
         raise ChainError("graph is a cycle; the non-backtracking walk is reducible")
     return ChainMatrix("non-backtracking", _arc_matrix(
-        g, idx, exact, non_backtracking=True, stochastic=True), exact)
+        g, idx, exact, non_backtracking=True, stochastic=True))
 
 
 _BUILDERS = {

@@ -5,7 +5,9 @@ walk matrix as CSV), closed-form (exact formula evaluation), sweep
 (balanced barbell sweep), census (edge vs non-backtracking comparison),
 and generate (emit graph6 for a built-in family).  Output is JSON or CSV,
 deterministic byte-for-byte for identical invocations.  Exit codes:
-0 success, 1 validation error, 2 internal cross-check failure.
+0 success, 1 validation or usage error (an unknown subcommand, option or
+choice included), 2 internal cross-check failure.  ``compute --tol`` must
+be finite and >= 0.
 
 Graphs are given either as a generator spec in a flat ``name:args``
 grammar (``complete:5``, ``bipartite:2,3``, ``cycle:5``, ``path:4``,
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -92,10 +95,6 @@ def _graph_from_args(args) -> graphs.Graph:
     return parse_generator_spec(spec)
 
 
-def _render(x) -> str:
-    return format_scalar(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -115,9 +114,9 @@ def _cmd_compute(args) -> int:
         out = report.to_json()
     else:
         lines = ["quantity,value"]
-        lines.append(f"k_vertex,{_render(report.k_vertex)}")
-        lines.append(f"k_edge,{_render(report.k_edge)}")
-        lines.append(f"k_nb,{_render(report.k_nb)}")
+        lines.append(f"k_vertex,{format_scalar(report.k_vertex)}")
+        lines.append(f"k_edge,{format_scalar(report.k_edge)}")
+        lines.append(f"k_nb,{format_scalar(report.k_nb)}")
         for walk in sorted(report.residuals):
             lines.append(f"residual_{walk},{report.residuals[walk]:.3g}")
         lines.append(f"identity_residual,{report.identity_residual:.3g}")
@@ -137,7 +136,7 @@ def _cmd_matrices(args) -> int:
         M = chains.build_matrix(g, args.kind, exact=exact)
     except chains.ChainError as exc:
         raise CliError(str(exc))
-    rows = [[_render(x) for x in row] for row in M.data]
+    rows = [[format_scalar(x) for x in row] for row in M.data]
     if args.output == "json":
         print(json.dumps(
             {"kind": M.kind, "shape": list(M.shape), "rows": rows}, indent=2))
@@ -154,25 +153,25 @@ def _closed_form_dict(name: str, arg: Optional[str], args) -> dict:
     if name == "necklace":
         n = _int_arg(name, arg)
         kv, ke, knb = formulas.necklace_kemeny(n)
-        return {"formula": "necklace", "n": n, "k_vertex": _render(kv),
-                "k_edge": _render(ke), "k_nb": _render(knb)}
+        return {"formula": "necklace", "n": n, "k_vertex": format_scalar(kv),
+                "k_edge": format_scalar(ke), "k_nb": format_scalar(knb)}
     if name == "barbell":
         parts = _int_args(name, arg, 3)
         params = graphs.BarbellParams(*parts)
         kv, ke, knb = formulas.barbell_kemeny(params)
         return {"formula": "barbell", "k": params.k, "a": params.a,
-                "b": params.b, "k_vertex": _render(kv),
-                "k_edge": _render(ke), "k_nb": _render(knb)}
+                "b": params.b, "k_vertex": format_scalar(kv),
+                "k_edge": format_scalar(ke), "k_nb": format_scalar(knb)}
     if name == "barbell-edge-max":
         n = _int_arg(name, arg)
         params, value = formulas.barbell_edge_max(n)
         return {"formula": "barbell-edge-max", "n": n, "k": params.k,
-                "a": params.a, "b": params.b, "k_edge": _render(value)}
+                "a": params.a, "b": params.b, "k_edge": format_scalar(value)}
     if name == "barbell-nb-max":
         n = _int_arg(name, arg)
         params, value = formulas.barbell_nb_max(n)
         return {"formula": "barbell-nb-max", "n": n, "k": params.k,
-                "a": params.a, "b": params.b, "k_nb": _render(value)}
+                "a": params.a, "b": params.b, "k_nb": format_scalar(value)}
     if name in ("regular", "biregular"):
         if arg:
             g = parse_generator_spec(arg)
@@ -192,11 +191,11 @@ def _closed_form_dict(name: str, arg: Optional[str], args) -> dict:
             "formula": name,
             "n": g.n,
             "m": g.m,
-            "k_edge": _render(ke),
-            "k_nb": _render(knb),
+            "k_edge": format_scalar(ke),
+            "k_nb": format_scalar(knb),
             "bounds": [
                 {"name": c.name, "satisfied": c.satisfied,
-                 "margin": _render(c.margin),
+                 "margin": format_scalar(c.margin),
                  "known_exception": c.known_exception}
                 for c in checks
             ],
@@ -254,7 +253,7 @@ def _cmd_sweep(args) -> int:
         print(json.dumps({
             "n": args.n,
             "rows": [{"k": r.k, "a": r.a, "b": r.b,
-                      "k_e": _render(r.k_e), "k_nb": _render(r.k_nb)}
+                      "k_e": format_scalar(r.k_e), "k_nb": format_scalar(r.k_nb)}
                      for r in rows],
             "skipped_k": skipped,
         }, indent=2))
@@ -299,31 +298,54 @@ def _cmd_generate(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other invalid input; argparse's own
+    status 2 is the cross-check failure's here.  Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    """The --tol type: NaN or infinity would let every residual pass."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kemeny",
         description="Kemeny's constant for vertex, edge, and "
                     "non-backtracking walks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph_positional=True):
-        if graph_positional:
-            p.add_argument("graph", nargs="?", default=None,
-                           help="generator spec (name:args) or graph6 string")
+    def graph_and_mode(p):
+        p.add_argument("graph", nargs="?", default=None,
+                       help="generator spec (name:args) or graph6 string")
         p.add_argument("--mode", choices=("auto", "exact", "float"),
                        default="auto", help="scalar mode (default auto)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="cross-check tolerance (default 1e-9)")
+
+    def output_and_input(p):
         p.add_argument("--output", choices=("json", "csv"), default="json",
                        help="serialization format (default json)")
         p.add_argument("--input", default=None,
                        help="read graph6 from this path, or - for stdin")
 
     p = sub.add_parser("compute", help="cross-validated Kemeny report")
-    common(p)
+    graph_and_mode(p)
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="cross-check tolerance, finite and >= 0 (default 1e-9)")
+    output_and_input(p)
 
     p = sub.add_parser("matrices", help="dump a walk matrix")
-    common(p)
+    graph_and_mode(p)
+    output_and_input(p)
     p.set_defaults(output="csv")
     p.add_argument("--kind", default="vertex",
                    choices=("adjacency", "degree", "vertex", "edge",
@@ -337,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("arg", nargs="?", default=None,
                    help="formula argument: integers like 10 or 2,15,15, or "
                         "a generator spec for regular/biregular")
-    common(p, graph_positional=False)
+    output_and_input(p)
 
     p = sub.add_parser("sweep", help="balanced barbell sweep CSV")
     p.add_argument("--n", type=int, required=True, help="vertex count")
@@ -370,17 +392,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (graphs.GraphError, chains.ChainError, formulas.FormulaError,
-            census_mod.CensusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except engine.EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, graphs.GraphError, chains.ChainError, formulas.FormulaError,
+            census_mod.CensusError, engine.EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,11 +11,21 @@ The three walks of a graph (vertex, edge-space, non-backtracking) are tied
 together by ``kemeny_triple``, which runs every applicable route per walk,
 records disagreements, and checks the edge/vertex shift identity
 K_e = K_v + 2m - n.
+
+Scalar mode
+-----------
+A chain's dtype is its scalar mode: object arrays hold exact ints and
+Fractions, float64 arrays floats.  Each route has one body for both; linear
+algebra goes through one solve dispatch, ``_solve`` (``ratmath``'s exact
+kernels or ``np.linalg``), and a comparison's bound is 0 in exact mode, so
+one test serves both.  Routes return Fractions or builtin floats.  Only the
+charpoly route has two algorithms, one per mode.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -23,7 +33,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import ratmath
-from .chains import ChainError, ChainMatrix, edge_transition, nb_transition, vertex_transition
+from .chains import (
+    ChainMatrix,
+    adjacency_matrix,
+    degree_matrix,
+    edge_transition,
+    nb_transition,
+    vertex_transition,
+)
 from .graphs import Graph, profile
 
 Scalar = Union[Fraction, float]
@@ -38,6 +55,32 @@ class EngineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# the one solve dispatch
+
+def _solve(A: np.ndarray, b: Optional[np.ndarray], singular: str) -> np.ndarray:
+    """Solve A x = b, or invert A when b is None, in the scalar mode of A.
+
+    Object arrays go to the exact fraction-free kernels of ``ratmath``,
+    float64 arrays to LAPACK through ``np.linalg``.  A singular A raises
+    EngineError(singular).
+    """
+    try:
+        if A.dtype == object:
+            if b is None:
+                return np.array(ratmath.exact_inverse(A.tolist()), dtype=object)
+            return np.array(ratmath.exact_solve(A.tolist(), b.tolist()), dtype=object)
+        return np.linalg.inv(A) if b is None else np.linalg.solve(A, b)
+    except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
+        raise EngineError(singular) from exc
+
+
+def _scalar(x) -> Scalar:
+    """A route's result as a builtin: numpy floats become float, Fractions
+    stay Fractions."""
+    return np.asarray(x).item()
+
+
+# ---------------------------------------------------------------------------
 # stationary distribution and mean first-passage times
 
 def stationary(P: ChainMatrix) -> np.ndarray:
@@ -48,30 +91,12 @@ def stationary(P: ChainMatrix) -> np.ndarray:
     a failed verification.
     """
     N = P.order
-    if P.exact:
-        rows = P.data.tolist()
-        A = [[(1 if i == j else 0) - rows[j][i] for j in range(N)] for i in range(N)]
-        A[N - 1] = [1] * N
-        b = [Fraction(0)] * (N - 1) + [Fraction(1)]
-        try:
-            pi = ratmath.exact_solve(A, b)
-        except ValueError as exc:
-            raise EngineError("chain is reducible: stationary system is singular") from exc
-        for j in range(N):
-            if sum(rows[i][j] * pi[i] for i in range(N)) != pi[j]:
-                raise EngineError("chain is reducible: stationary verification failed")
-            if pi[j] <= 0:
-                raise EngineError("chain is reducible: stationary vector not positive")
-        return np.array(pi, dtype=object)
-    A = np.eye(N) - P.data.T
-    A[N - 1, :] = 1.0
-    b = np.zeros(N)
-    b[N - 1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise EngineError("chain is reducible: stationary system is singular") from exc
-    if np.max(np.abs(P.data.T @ pi - pi)) > 1e-10 or np.min(pi) <= 0:
+    I = np.eye(N, dtype=P.data.dtype)
+    A = I - P.data.T
+    A[N - 1] = 1
+    pi = _solve(A, I[N - 1], "chain is reducible: stationary system is singular")
+    tol = 0 if P.exact else 1e-10
+    if np.max(np.abs(P.data.T @ pi - pi)) > tol or np.min(pi) <= 0:
         raise EngineError("chain is reducible: stationary verification failed")
     return pi
 
@@ -83,34 +108,13 @@ def mfpt(P: ChainMatrix) -> np.ndarray:
     diagonal is zero by convention.
     """
     N = P.order
-    if P.exact:
-        rows = P.data.tolist()
-        out = np.zeros((N, N), dtype=object)
-        for j in range(N):
-            A = [[(1 if i == k else 0) - rows[i][k] for k in range(N)] for i in range(N)]
-            A[j] = [1 if k == j else 0 for k in range(N)]
-            b = [Fraction(1)] * N
-            b[j] = Fraction(0)
-            try:
-                col = ratmath.exact_solve(A, b)
-            except ValueError as exc:
-                raise EngineError("chain is reducible: passage-time system is singular") from exc
-            for i in range(N):
-                out[i, j] = col[i]
-        return out
-    out = np.zeros((N, N))
-    I = np.eye(N)
-    ones = np.ones(N)
+    I = np.eye(N, dtype=P.data.dtype)
+    I_minus_P = I - P.data
+    out = np.zeros((N, N), dtype=P.data.dtype)
     for j in range(N):
-        A = I - P.data
-        A[j, :] = 0.0
-        A[j, j] = 1.0
-        b = ones.copy()
-        b[j] = 0.0
-        try:
-            out[:, j] = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise EngineError("chain is reducible: passage-time system is singular") from exc
+        A = I_minus_P.copy()
+        A[j] = I[j]
+        out[:, j] = _solve(A, 1 - I[j], "chain is reducible: passage-time system is singular")
     return out
 
 
@@ -123,13 +127,7 @@ def kemeny_mfpt(P: ChainMatrix) -> tuple[Scalar, float]:
     pi = stationary(P)
     M = mfpt(P)
     kappa = M @ pi
-    if P.exact:
-        lo = min(kappa)
-        hi = max(kappa)
-        return kappa[0], float(hi - lo)
-    lo = float(np.min(kappa))
-    hi = float(np.max(kappa))
-    return float(kappa[0]), hi - lo
+    return _scalar(kappa[0]), float(np.max(kappa) - np.min(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -196,34 +194,19 @@ def kemeny_spectrum(
 # ---------------------------------------------------------------------------
 # characteristic-polynomial route
 
-def kemeny_from_charpoly(coeffs: Sequence) -> Scalar:
-    """Kemeny's constant from characteristic-polynomial coefficients
-    (ascending).  Any nonzero scalar multiple of the polynomial gives the
-    same value: K = p''(1) / (2 p'(1)).
-
-    Exact inputs (int/Fraction) give a Fraction; float inputs give a float.
+def kemeny_from_charpoly(coeffs: Sequence[Union[int, Fraction]]) -> Fraction:
+    """Kemeny's constant from exact (int/Fraction) characteristic-polynomial
+    coefficients (ascending).  Any nonzero scalar multiple of the polynomial
+    gives the same value: K = p''(1) / (2 p'(1)).
     """
-    exact = all(isinstance(c, (int, Fraction)) for c in coeffs)
-    if exact:
-        p1 = sum(Fraction(c) for c in coeffs)
-        d1 = sum(j * Fraction(c) for j, c in enumerate(coeffs))
-        d2 = sum(j * (j - 1) * Fraction(c) for j, c in enumerate(coeffs))
-        if p1 != 0:
-            raise EngineError("1 is not a root of the characteristic polynomial")
-        if d1 == 0:
-            raise EngineError("unit root is not simple: linear coefficient vanishes")
-        return d2 / (2 * d1)
-    cs = np.asarray([float(c) for c in coeffs])
-    j = np.arange(len(cs))
-    scale = float(np.max(np.abs(cs))) or 1.0
-    p1 = float(np.sum(cs))
-    d1 = float(np.sum(j * cs))
-    d2 = float(np.sum(j * (j - 1) * cs))
-    if abs(p1) > 1e-6 * scale:
+    p1 = sum(Fraction(c) for c in coeffs)
+    d1 = sum(j * Fraction(c) for j, c in enumerate(coeffs))
+    d2 = sum(j * (j - 1) * Fraction(c) for j, c in enumerate(coeffs))
+    if p1 != 0:
         raise EngineError("1 is not a root of the characteristic polynomial")
-    if d1 == 0.0:
+    if d1 == 0:
         raise EngineError("unit root is not simple: linear coefficient vanishes")
-    return d2 / (2.0 * d1)
+    return d2 / (2 * d1)
 
 
 def _kemeny_charpoly_float(Pf: np.ndarray) -> float:
@@ -289,32 +272,12 @@ def resistance(g: Graph, exact: bool = True) -> ResistanceData:
     """Effective resistance data via (L + J/n)^{-1} - J/n."""
     if not g.is_connected():
         raise EngineError("effective resistance needs a connected graph")
-    n = g.n
-    if exact:
-        shift = Fraction(1, n)
-        L = [[shift for _ in range(n)] for _ in range(n)]
-        for v in range(n):
-            L[v][v] += g.degrees[v]
-        for u, v in g.edges:
-            L[u][v] -= 1
-            L[v][u] -= 1
-        inv = ratmath.exact_inverse(L)
-        lp = np.array(
-            [[inv[i][j] - shift for j in range(n)] for i in range(n)], dtype=object
-        )
-        R = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                R[i, j] = lp[i, i] + lp[j, j] - 2 * lp[i, j]
-        return ResistanceData(lp, R, True)
-    L = np.diag(np.array(g.degrees, dtype=float))
-    for u, v in g.edges:
-        L[u, v] -= 1.0
-        L[v, u] -= 1.0
-    lp = np.linalg.inv(L + 1.0 / n) - 1.0 / n
+    shift = Fraction(1, g.n) if exact else 1.0 / g.n
+    L = degree_matrix(g, exact).data - adjacency_matrix(g, exact).data
+    lp = _solve(L + shift, None, "Laplacian plus J/n is singular") - shift
     diag = np.diag(lp)
-    R = diag[:, None] + diag[None, :] - 2.0 * lp
-    return ResistanceData(lp, R, False)
+    R = diag[:, None] + diag[None, :] - 2 * lp
+    return ResistanceData(lp, R, exact)
 
 
 def kemeny_resistance(g: Graph, exact: bool = True) -> Scalar:
@@ -324,27 +287,18 @@ def kemeny_resistance(g: Graph, exact: bool = True) -> Scalar:
             return Fraction(0) if exact else 0.0
         raise EngineError("graph has no edges")
     R = resistance(g, exact).resistance
-    d = g.degrees
-    if exact:
-        total = sum(d[i] * R[i, j] * d[j] for i in range(g.n) for j in range(g.n))
-        return total / (4 * g.m)
-    dv = np.array(d, dtype=float)
-    return float(dv @ R @ dv / (4.0 * g.m))
+    dv = np.array(g.degrees, dtype=R.dtype)
+    return _scalar(dv @ R @ dv / (4 * g.m))
 
 
 def moment(g: Graph, v: int, exact: bool = True) -> Scalar:
     """Degree-weighted resistance moment sum_i deg(i) r(i, v)."""
     if not 0 <= v < g.n:
         raise EngineError(f"vertex {v} out of range")
-    if g.m == 0:
-        if g.n == 1:
-            return Fraction(0) if exact else 0.0
+    if g.m == 0 and g.n > 1:
         raise EngineError("graph has no edges")
     R = resistance(g, exact).resistance
-    if exact:
-        return sum(g.degrees[i] * R[i, v] for i in range(g.n))
-    dv = np.array(g.degrees, dtype=float)
-    return float(dv @ R[:, v])
+    return _scalar(np.array(g.degrees, dtype=R.dtype) @ R[:, v])
 
 
 def kemeny_one_sum(g1: Graph, v1: int, g2: Graph, v2: int, exact: bool = True) -> Scalar:
@@ -362,10 +316,7 @@ def kemeny_one_sum(g1: Graph, v1: int, g2: Graph, v2: int, exact: bool = True) -
     k2 = kemeny_resistance(g2, exact)
     mu1 = moment(g1, v1, exact)
     mu2 = moment(g2, v2, exact)
-    num = m1 * (k1 + mu2) + m2 * (k2 + mu1)
-    if exact:
-        return num / Fraction(m1 + m2)
-    return float(num) / (m1 + m2)
+    return (m1 * (k1 + mu2) + m2 * (k2 + mu1)) / (m1 + m2)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +411,8 @@ def kemeny_triple(
         ``EXACT_STATE_CAP`` states and floats beyond.
     tol : float
         Tolerance for route residuals and the shift identity; exceeding it
-        sets the ``failed`` flag.
+        sets the ``failed`` flag.  Must be finite and >= 0 (ValueError
+        otherwise): NaN or infinity would let every residual pass.
 
     Returns
     -------
@@ -468,6 +420,8 @@ def kemeny_triple(
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     prof = profile(g)
     if not prof.connected:
         raise EngineError("graph must be connected")
@@ -475,53 +429,33 @@ def kemeny_triple(
         raise EngineError("walks need at least two vertices")
 
     def use_exact(states: int) -> bool:
-        if mode == "exact":
-            return True
-        if mode == "float":
-            return False
-        return states <= EXACT_STATE_CAP
+        return mode == "exact" or (mode == "auto" and states <= EXACT_STATE_CAP)
 
-    routes: dict[str, dict[str, Scalar]] = {}
-    residuals: dict[str, float] = {}
-    spreads: dict[str, float] = {}
-    modes: dict[str, str] = {}
-
-    ex_v = use_exact(g.n)
-    Pv = vertex_transition(g, exact=ex_v)
-    routes["vertex"], spreads["vertex"] = _run_routes(Pv, g)
-    residuals["vertex"] = _max_pairwise(routes["vertex"])
-    modes["vertex"] = "exact" if ex_v else "float"
-    k_vertex = routes["vertex"]["mfpt"]
-
-    two_m = 2 * g.m
-    ex_e = use_exact(two_m)
-    Pe = edge_transition(g, exact=ex_e)
-    routes["edge"], spreads["edge"] = _run_routes(Pe)
-    residuals["edge"] = _max_pairwise(routes["edge"])
-    modes["edge"] = "exact" if ex_e else "float"
-    k_edge = routes["edge"]["mfpt"]
-
-    k_nb: Optional[Scalar] = None
     nb_omitted: Optional[str] = None
+    walks = [("vertex", g.n, vertex_transition), ("edge", 2 * g.m, edge_transition)]
     if prof.min_degree < 2:
         nb_omitted = "graph has a vertex of degree < 2"
     elif prof.is_cycle:
         nb_omitted = "graph is a cycle: the non-backtracking walk is reducible"
     else:
-        ex_nb = use_exact(two_m)
-        Pnb = nb_transition(g, exact=ex_nb)
-        routes["non-backtracking"], spreads["non-backtracking"] = _run_routes(Pnb)
-        residuals["non-backtracking"] = _max_pairwise(routes["non-backtracking"])
-        modes["non-backtracking"] = "exact" if ex_nb else "float"
-        k_nb = routes["non-backtracking"]["mfpt"]
+        walks.append(("non-backtracking", 2 * g.m, nb_transition))
 
-    shift = 2 * g.m - g.n
-    identity_exact = ex_v and ex_e
-    if identity_exact:
-        ident = abs(k_edge - k_vertex - shift)
-        identity_residual = float(ident)
-    else:
-        identity_residual = abs(float(k_edge) - float(k_vertex) - shift)
+    routes: dict[str, dict[str, Scalar]] = {}
+    residuals: dict[str, float] = {}
+    spreads: dict[str, float] = {}
+    modes: dict[str, str] = {}
+    for walk, states, build in walks:
+        exact = use_exact(states)
+        P = build(g, exact=exact)
+        routes[walk], spreads[walk] = _run_routes(P, g if walk == "vertex" else None)
+        residuals[walk] = _max_pairwise(routes[walk])
+        modes[walk] = "exact" if exact else "float"
+    k_vertex = routes["vertex"]["mfpt"]
+    k_edge = routes["edge"]["mfpt"]
+    k_nb = routes["non-backtracking"]["mfpt"] if nb_omitted is None else None
+
+    # a Fraction minus a float is computed in float
+    identity_residual = float(abs(k_edge - k_vertex - (2 * g.m - g.n)))
 
     failed = (
         any(r > tol for r in residuals.values())
@@ -539,7 +473,7 @@ def kemeny_triple(
         kappa_spread=spreads,
         modes=modes,
         identity_residual=identity_residual,
-        identity_exact=identity_exact,
+        identity_exact=modes["vertex"] == modes["edge"] == "exact",
         nb_omitted=nb_omitted,
         tolerance=tol,
         failed=failed,

@@ -15,6 +15,33 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestUsage:
+    # argparse's own usage errors exit 1 here: 2 means a failed cross-check
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--mode", "bogus", "complete:4"],
+        ["compute", "complete:4", "--bogus"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tol_rejected(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["compute", "complete:4", "--tol", tol])
+        assert exc.value.code == 1
+        assert "--tol" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["--help"])
+        assert exc.value.code == 0
+        assert "compute" in capsys.readouterr().out
+
+
 class TestGeneratorSpec:
     def test_families(self):
         assert parse_generator_spec("complete:4").m == 6
@@ -140,6 +167,16 @@ class TestMatrices:
         assert code == 0
         assert "0.333333333333" in out
         assert "1/3" not in out
+
+    @pytest.mark.parametrize("kind", [
+        "adjacency", "degree", "edge-adjacency", "nb-adjacency",
+        "edge-degree", "incidence-T", "incidence-S", "reversal",
+    ])
+    def test_integer_kinds_print_integers(self, capsys, kind):
+        # exact integer matrices hold ints, which print as "1", not "1/1"
+        code, out, _ = invoke(capsys, "matrices", "complete:4", "--kind", kind)
+        assert code == 0
+        assert "/" not in out
 
     def test_nb_needs_min_degree(self, capsys):
         code, _, err = invoke(capsys, "matrices", "path:4",

@@ -264,20 +264,51 @@ class TestResistance:
             resistance(g)
 
 
+def approx(want, exact):
+    """Equality in exact mode, agreement to 1e-12 in float mode."""
+    return pytest.approx(want, rel=0, abs=0 if exact else 1e-12)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 class TestOneSum:
-    def test_matches_direct_computation(self):
+    def test_matches_direct_computation(self, exact):
         g1, v1 = gen_cycle(4), 0
         g2, v2 = gen_complete(4), 2
         combined = one_sum(g1, v1, g2, v2)
-        want = kemeny_resistance(combined, exact=True)
-        got = kemeny_one_sum(g1, v1, g2, v2, exact=True)
-        assert got == want
+        want = kemeny_resistance(combined, exact=exact)
+        got = kemeny_one_sum(g1, v1, g2, v2, exact=exact)
+        assert got == approx(want, exact)
 
-    def test_moment_is_zero_at_isolated_center(self):
+    def test_moment_is_zero_at_isolated_center(self, exact):
         g = gen_path(2)
         # single edge: mu(v) = deg(0) r(0,v) + deg(1) r(1,v) = 1 at either end
-        assert moment(g, 0) == 1
-        assert moment(g, 1) == 1
+        assert moment(g, 0, exact) == approx(1, exact)
+        assert moment(g, 1, exact) == approx(1, exact)
+
+    def test_single_vertex_graph(self, exact):
+        single = from_edge_list(1, [])
+        zero = F(0) if exact else 0.0
+        for got in (kemeny_resistance(single, exact), moment(single, 0, exact)):
+            assert got == zero and type(got) is type(zero)
+        # a single-vertex part leaves the other part's constant
+        g = gen_complete(4)
+        assert kemeny_one_sum(single, 0, g, 1, exact) == approx(
+            kemeny_resistance(g, exact), exact)
+
+    def test_result_types(self, exact):
+        # exact routes give Fractions, float routes builtin floats (not
+        # numpy scalars), which the JSON and CSV renderers rely on
+        want = F if exact else float
+        g = gen_cycle_barbell(2, 3, 3)
+        values = [
+            kemeny_resistance(g, exact),
+            moment(g, 2, exact),
+            kemeny_one_sum(g, 0, gen_complete(4), 1, exact),
+        ]
+        for kind in ("vertex", "edge", "non-backtracking"):
+            P = build_matrix(g, kind, exact=exact)
+            values += [kemeny_mfpt(P)[0], kemeny_charpoly(P)]
+        assert all(type(v) is want for v in values)
 
 
 class TestTriple:
@@ -324,6 +355,9 @@ class TestTriple:
             kemeny_triple(from_edge_list(4, [(0, 1), (2, 3)]))
         with pytest.raises(ValueError):
             kemeny_triple(gen_complete(4), mode="fast")
+        for tol in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="tol"):
+                kemeny_triple(gen_complete(4), tol=tol)
 
     def test_json_round_trip(self):
         import json
