@@ -153,17 +153,14 @@ def vertex_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     return ChainMatrix("vertex", P)
 
 
-def incidence_operators(
-    g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False
-) -> tuple[ChainMatrix, ChainMatrix, ChainMatrix]:
+def incidence_operators(g: Graph, exact: bool = False) -> tuple[ChainMatrix, ChainMatrix, ChainMatrix]:
     """Startpoint operator T (n x 2m), endpoint operator S (2m x n), and the
     arc-reversal involution tau (2m x 2m).
 
     T(u, a) = 1 iff arc a starts at u; S(a, w) = 1 iff arc a ends at w;
     tau maps each arc to its reversal.  These satisfy A = T S and C = S T.
     """
-    if idx is None:
-        idx = OrientedEdgeIndex.from_graph(g)
+    idx = OrientedEdgeIndex.from_graph(g)
     two_m = len(idx)
     T = _zeros(g.n, two_m, exact)
     S = _zeros(two_m, g.n, exact)
@@ -179,14 +176,11 @@ def incidence_operators(
     )
 
 
-def _arc_matrix(
-    g: Graph, idx: OrientedEdgeIndex | None, exact: bool, *, non_backtracking: bool, stochastic: bool
-) -> np.ndarray:
-    """Arc-to-arc matrix over ``idx.succ``: a -> b for every arc b leaving
-    a's head, except rev[a] when non-backtracking.  Entries are 1, or
-    1/(number of such b) when stochastic."""
-    if idx is None:
-        idx = OrientedEdgeIndex.from_graph(g)
+def _arc_matrix(g: Graph, exact: bool, *, non_backtracking: bool, stochastic: bool) -> np.ndarray:
+    """Arc-to-arc matrix over ``OrientedEdgeIndex.succ``: a -> b for every
+    arc b leaving a's head, except rev[a] when non-backtracking.  Entries
+    are 1, or 1/(number of such b) when stochastic."""
+    idx = OrientedEdgeIndex.from_graph(g)
     two_m = len(idx)
     M = _zeros(two_m, two_m, exact)
     one = _one(exact)
@@ -201,22 +195,21 @@ def _arc_matrix(
     return M
 
 
-def edge_adjacency(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
+def edge_adjacency(g: Graph, exact: bool = False) -> ChainMatrix:
     """C = S T: arc a -> arc b allowed iff b starts where a ends."""
     return ChainMatrix("edge-adjacency", _arc_matrix(
-        g, idx, exact, non_backtracking=False, stochastic=False))
+        g, exact, non_backtracking=False, stochastic=False))
 
 
-def nb_adjacency(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
+def nb_adjacency(g: Graph, exact: bool = False) -> ChainMatrix:
     """B = S T - tau: edge adjacency with reversals forbidden."""
     return ChainMatrix("nb-adjacency", _arc_matrix(
-        g, idx, exact, non_backtracking=True, stochastic=False))
+        g, exact, non_backtracking=True, stochastic=False))
 
 
-def edge_degree_matrix(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
+def edge_degree_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
     """Diagonal D_e with the degree of each arc's head."""
-    if idx is None:
-        idx = OrientedEdgeIndex.from_graph(g)
+    idx = OrientedEdgeIndex.from_graph(g)
     two_m = len(idx)
     D = _zeros(two_m, two_m, exact)
     for a, (_, v) in enumerate(idx.arcs):
@@ -224,17 +217,17 @@ def edge_degree_matrix(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bo
     return ChainMatrix("edge-degree", D)
 
 
-def edge_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
+def edge_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     """Edge-space walk P_e = D_e^{-1} C: step to a uniform arc out of the
     current arc's head (reversal allowed)."""
     iso = [v for v in range(g.n) if g.degrees[v] == 0]
     if iso:
         raise ChainError(f"vertex {iso[0]} is isolated; the edge walk is undefined")
     return ChainMatrix("edge", _arc_matrix(
-        g, idx, exact, non_backtracking=False, stochastic=True))
+        g, exact, non_backtracking=False, stochastic=True))
 
 
-def nb_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = False) -> ChainMatrix:
+def nb_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     """Non-backtracking walk P_nb = (D_e - I)^{-1} B.
 
     Requires min degree >= 2 (otherwise D_e - I is singular) and a
@@ -250,31 +243,26 @@ def nb_transition(g: Graph, idx: OrientedEdgeIndex | None = None, exact: bool = 
     if profile(g).is_cycle:
         raise ChainError("graph is a cycle; the non-backtracking walk is reducible")
     return ChainMatrix("non-backtracking", _arc_matrix(
-        g, idx, exact, non_backtracking=True, stochastic=True))
+        g, exact, non_backtracking=True, stochastic=True))
 
 
 _BUILDERS = {
     "vertex": vertex_transition,
     "adjacency": adjacency_matrix,
     "degree": degree_matrix,
-}
-
-_EDGE_BUILDERS = {
     "edge": edge_transition,
     "non-backtracking": nb_transition,
     "edge-adjacency": edge_adjacency,
     "nb-adjacency": nb_adjacency,
     "edge-degree": edge_degree_matrix,
+    "incidence-T": lambda g, exact: incidence_operators(g, exact)[0],
+    "incidence-S": lambda g, exact: incidence_operators(g, exact)[1],
+    "reversal": lambda g, exact: incidence_operators(g, exact)[2],
 }
 
 
 def build_matrix(g: Graph, kind: str, exact: bool = False) -> ChainMatrix:
     """Construct any named matrix for a graph (CLI entry point)."""
-    if kind in _BUILDERS:
-        return _BUILDERS[kind](g, exact)
-    if kind in _EDGE_BUILDERS:
-        return _EDGE_BUILDERS[kind](g, None, exact)
-    if kind in ("incidence-T", "incidence-S", "reversal"):
-        T, S, tau = incidence_operators(g, None, exact)
-        return {"incidence-T": T, "incidence-S": S, "reversal": tau}[kind]
-    raise ChainError(f"unknown matrix kind {kind!r}")
+    if kind not in _BUILDERS:
+        raise ChainError(f"unknown matrix kind {kind!r}")
+    return _BUILDERS[kind](g, exact)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -75,8 +76,11 @@ def parse_generator_spec(spec: str) -> graphs.Graph:
 def _read_input(path: str):
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"malformed graph6 in {path!r}: non-ASCII byte at offset {exc.start}")
 
 
 def _graph_from_args(args) -> graphs.Graph:
@@ -399,6 +403,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    # a reader that stops early (``| head``) ends the process quietly, as it
+    # would any other command-line tool, rather than as an input error
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

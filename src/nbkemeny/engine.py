@@ -18,8 +18,7 @@ A chain's dtype is its scalar mode: object arrays hold exact ints and
 Fractions, float64 arrays floats.  Each route has one body for both; linear
 algebra goes through one solve dispatch, ``_solve`` (``ratmath``'s exact
 kernels or ``np.linalg``), and a comparison's bound is 0 in exact mode, so
-one test serves both.  Routes return Fractions or builtin floats.  Only the
-charpoly route has two algorithms, one per mode.
+one test serves both.  Routes return Fractions or builtin floats.
 """
 
 from __future__ import annotations
@@ -28,12 +27,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import ratmath
 from .chains import (
+    TRANSITION_KINDS,
     ChainMatrix,
     adjacency_matrix,
     degree_matrix,
@@ -164,29 +164,29 @@ class Spectrum:
         return cls(tuple(complex(v) for v in ev[order]))
 
 
-def kemeny_spectrum(
-    P: ChainMatrix,
-    *,
-    unit_tol: float = 1e-9,
-    gap_tol: float = 1e-6,
-    imag_tol: float = 1e-9,
-) -> float:
+# spectrum route tolerances: see kemeny_spectrum
+UNIT_TOL = 1e-9
+GAP_TOL = 1e-6
+IMAG_TOL = 1e-9
+
+
+def kemeny_spectrum(P: ChainMatrix) -> float:
     """Kemeny's constant as sum of 1/(1 - rho) over non-unit eigenvalues.
 
     The unit eigenvalue is the one of maximal real part; it must sit within
-    unit_tol of 1 and be separated from the rest by gap_tol.  Complex pairs
-    cancel in the sum; the leftover imaginary part must be below imag_tol.
+    UNIT_TOL of 1 and be separated from the rest by GAP_TOL.  Complex pairs
+    cancel in the sum; the leftover imaginary part must be below IMAG_TOL.
     """
     spec = Spectrum.of_chain(P)
     ev = np.array(spec.values, dtype=complex)
     i1 = int(np.argmax(ev.real))
-    if abs(ev[i1] - 1.0) > unit_tol:
+    if abs(ev[i1] - 1.0) > UNIT_TOL:
         raise EngineError(f"unit eigenvalue not found (closest {ev[i1]:.12g})")
     rest = np.delete(ev, i1)
-    if rest.size and np.min(np.abs(rest - 1.0)) < gap_tol:
+    if rest.size and np.min(np.abs(rest - 1.0)) < GAP_TOL:
         raise EngineError("unit eigenvalue is not simple within tolerance")
     total = np.sum(1.0 / (1.0 - rest))
-    if abs(total.imag) > imag_tol:
+    if abs(total.imag) > IMAG_TOL:
         raise EngineError(f"imaginary residual {total.imag:.3g} in eigenvalue sum")
     return float(total.real)
 
@@ -194,62 +194,40 @@ def kemeny_spectrum(
 # ---------------------------------------------------------------------------
 # characteristic-polynomial route
 
-def kemeny_from_charpoly(coeffs: Sequence[Union[int, Fraction]]) -> Fraction:
-    """Kemeny's constant from exact (int/Fraction) characteristic-polynomial
-    coefficients (ascending).  Any nonzero scalar multiple of the polynomial
-    gives the same value: K = p''(1) / (2 p'(1)).
+def kemeny_charpoly(P: ChainMatrix) -> Scalar:
+    """Kemeny's constant K = p''(1) / (2 p'(1)) from the characteristic
+    polynomial, taken at the deflated unit root.
+
+    A similarity S that sends e1 to the all-ones vector 1 gives S^{-1} P S
+    the first column e1, so p(x) = (x - 1) g(x) with g the polynomial of the
+    trailing block P22, and K = g'(1)/g(1) = tr((I - P22)^{-1}) by Jacobi's
+    formula.  Float mode takes for S the Householder reflector that maps 1
+    to a multiple of e1; exact mode the rational S = [1 | e2 ... eN], whose
+    block is P[1:, 1:] - P[0, 1:].  One solve at the root avoids the
+    cancellation a probe of the determinant suffers there and keeps the
+    route independent of the eigensolver.
+
+    The deflation needs P 1 = 1, so only transition kinds are accepted; a
+    unit root that is not simple makes I - P22 singular.
     """
-    p1 = sum(Fraction(c) for c in coeffs)
-    d1 = sum(j * Fraction(c) for j, c in enumerate(coeffs))
-    d2 = sum(j * (j - 1) * Fraction(c) for j, c in enumerate(coeffs))
-    if p1 != 0:
-        raise EngineError("1 is not a root of the characteristic polynomial")
-    if d1 == 0:
-        raise EngineError("unit root is not simple: linear coefficient vanishes")
-    return d2 / (2 * d1)
-
-
-def _kemeny_charpoly_float(Pf: np.ndarray) -> float:
-    """Float charpoly route without materializing coefficients.
-
-    Writes p(x) = (x - 1) g(x) by deflating the unit root with a Householder
-    similarity that sends the all-ones eigenvector to a coordinate axis; then
-    p''(1)/(2 p'(1)) = g'(1)/g(1) = tr((I - P22)^{-1}) by Jacobi's formula,
-    where P22 is the deflated block.  Evaluating the derivative ratio at the
-    root directly avoids the cancellation a finite-difference probe of the
-    determinant suffers there, and uses only an LU solve, so the route stays
-    independent of the eigensolver.
-    """
-    N = Pf.shape[0]
+    if P.kind not in TRANSITION_KINDS:
+        raise EngineError(f"charpoly route needs a transition matrix, not {P.kind!r}")
+    N = P.order
     if N == 1:
-        return 0.0
-    w = np.ones(N)
-    w[0] += np.sqrt(N)
-    H = np.eye(N) - (2.0 / (w @ w)) * np.outer(w, w)
-    P22 = (H @ Pf @ H)[1:, 1:]
-    M = np.eye(N - 1) - P22
-    try:
-        X = np.linalg.solve(M, np.eye(N - 1))
-    except np.linalg.LinAlgError as exc:
-        raise EngineError("unit root is not simple: deflated system singular") from exc
-    k = float(np.trace(X))
-    if not np.isfinite(k):
+        return Fraction(0) if P.exact else 0.0
+    if P.exact:
+        P22 = P.data[1:, 1:] - P.data[0, 1:]
+    else:
+        w = np.ones(N)
+        w[0] += np.sqrt(N)
+        H = np.eye(N) - (2.0 / (w @ w)) * np.outer(w, w)
+        P22 = (H @ P.data @ H)[1:, 1:]
+    M = np.eye(N - 1, dtype=P.data.dtype) - P22
+    X = _solve(M, None, "unit root is not simple: deflated system singular")
+    k = _scalar(np.trace(X))
+    if not math.isfinite(k):
         raise EngineError("unit root is not simple: deflated trace diverged")
     return k
-
-
-def kemeny_charpoly(P: ChainMatrix) -> Scalar:
-    """Kemeny's constant via the characteristic polynomial.
-
-    Exact mode: integer pencil determinants interpolated to exact
-    coefficients, then K = p''(1)/(2 p'(1)) over Fractions.  Float mode:
-    the same derivative ratio taken at the deflated unit root through
-    Jacobi's formula.
-    """
-    if P.exact:
-        coeffs = ratmath.charpoly_pencil(P.data.tolist())
-        return kemeny_from_charpoly(coeffs)
-    return _kemeny_charpoly_float(P.data)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ row denominators, and one fraction-free (Bareiss) elimination over plain
 Python ints serves solves, inverses and determinants.  Every division in it
 is exact, so no Fraction arithmetic runs in the hot loops; solutions become
 Fractions only at the end.
+
+The pencil functions (``pencil_poly``, ``charpoly_pencil``) and
+``kemeny_from_charpoly`` are the exact reference for the engine's charpoly
+route: they build the whole characteristic polynomial from N + 1 Bareiss
+determinants, a computation the route itself does not share.
 """
 
 from __future__ import annotations
@@ -171,6 +176,23 @@ def charpoly_pencil(P: Sequence[Sequence[Scalar]]) -> list[int]:
     A0 = [[-F[i][j] for j in range(n)] for i in range(n)]
     A1 = [[E[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return pencil_poly(A0, A1)
+
+
+def kemeny_from_charpoly(coeffs: Sequence[Scalar]) -> Fraction:
+    """Kemeny's constant from exact (int/Fraction) characteristic-polynomial
+    coefficients (ascending).  Any nonzero scalar multiple of the polynomial
+    gives the same value: K = p''(1) / (2 p'(1)).
+
+    Raises ValueError unless 1 is a simple root.
+    """
+    p1 = sum(Fraction(c) for c in coeffs)
+    d1 = sum(j * Fraction(c) for j, c in enumerate(coeffs))
+    d2 = sum(j * (j - 1) * Fraction(c) for j, c in enumerate(coeffs))
+    if p1 != 0:
+        raise ValueError("1 is not a root of the characteristic polynomial")
+    if d1 == 0:
+        raise ValueError("unit root is not simple: linear coefficient vanishes")
+    return d2 / (2 * d1)
 
 
 def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:

@@ -90,17 +90,17 @@ class TestConstructions:
     def test_edge_degree_diagonal(self):
         g = gen_complete_bipartite(2, 3)
         idx = OrientedEdgeIndex.from_graph(g)
-        D = edge_degree_matrix(g, idx, exact=True)
+        D = edge_degree_matrix(g, exact=True)
         for a, (_, v) in enumerate(idx.arcs):
             assert D.data[a, a] == g.degrees[v]
 
     def test_transitions_recover_unnormalized_counts(self, graph):
         # P_e = D_e^{-1} C and P_nb = (D_e - I)^{-1} B row-by-row
         idx = OrientedEdgeIndex.from_graph(graph)
-        C = edge_adjacency(graph, idx, exact=True)
-        B = nb_adjacency(graph, idx, exact=True)
-        Pe = edge_transition(graph, idx, exact=True)
-        Pnb = nb_transition(graph, idx, exact=True)
+        C = edge_adjacency(graph, exact=True)
+        B = nb_adjacency(graph, exact=True)
+        Pe = edge_transition(graph, exact=True)
+        Pnb = nb_transition(graph, exact=True)
         for a, (_, v) in enumerate(idx.arcs):
             d = graph.degrees[v]
             assert all(Pe.data[a] * d == C.data[a])

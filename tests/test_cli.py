@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +138,15 @@ class TestCompute:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "compute", "--input", "/no/such/file")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["compute", "census"])
+    def test_non_ascii_file(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"\xff\n")
+        code, _, err = invoke(capsys, command, "--input", str(path))
+        assert code == 1
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
 
     def test_impossible_tolerance_fails_crosscheck(self, capsys):
         # float routes cannot agree to 1e-30, so the report must fail
@@ -328,3 +342,25 @@ class TestGenerate:
     def test_bad_spec(self, capsys):
         code, _, err = invoke(capsys, "generate", "torus:3")
         assert code == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_quietly():
+    # 126,000 bytes overflow the pipe buffer, so the writer is still
+    # writing when the reader goes away
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nbkemeny.cli", "matrices", "complete:16", "--kind", "edge"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == -signal.SIGPIPE

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nbkemeny import (
+    ChainMatrix,
     EngineError,
     Spectrum,
     build_matrix,
@@ -226,8 +227,34 @@ class TestCharpoly:
         assert kemeny_from_charpoly([-1, -3, 0, 4]) == Fraction(4, 3)
 
     def test_rejects_nonroot(self):
-        with pytest.raises(EngineError):
+        with pytest.raises(ValueError):
             kemeny_from_charpoly([1, 1])
+
+    @pytest.mark.parametrize("name", list(FROZEN))
+    def test_exact_matches_pencil_reference(self, name, named_graphs):
+        for kind in ("vertex", "edge", "non-backtracking"):
+            P = build_matrix(named_graphs[name], kind, exact=True)
+            assert kemeny_charpoly(P) == kemeny_from_charpoly(charpoly_pencil(P.data.tolist()))
+
+    def test_one_state_chain(self):
+        assert kemeny_charpoly(ChainMatrix("vertex", np.array([[F(1)]], dtype=object))) == F(0)
+        zero = kemeny_charpoly(ChainMatrix("vertex", np.ones((1, 1))))
+        assert type(zero) is float and zero == 0.0
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_reducible_chain_rejected(self, exact):
+        # two 2-cycles: the unit root is double
+        two_cycles = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        P = ChainMatrix("vertex", np.array(two_cycles, dtype=object if exact else float))
+        with pytest.raises(EngineError, match="not simple"):
+            kemeny_charpoly(P)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_non_transition_kind_rejected(self, exact):
+        # the deflation needs unit row sums; K4's adjacency has row sums 3
+        A = build_matrix(gen_complete(4), "adjacency", exact=exact)
+        with pytest.raises(EngineError, match="transition"):
+            kemeny_charpoly(A)
 
     def test_float_matches_exact_pencil(self, named_graphs):
         g = named_graphs["CB(3,4,6)"]
