@@ -2,7 +2,9 @@
 
 Routes
 ------
-mfpt       definition: K = sum_j m(i, j) pi_j, checked constant over i
+mfpt       definition: K = sum_j m(0, j) pi_j, all m(i, j) from one inverse
+           Z = (I - P + 1 pi^T)^{-1}, checked by the first-step equations
+           (I - P) Z = I - 1 pi^T
 spectrum   K = sum over non-unit eigenvalues of 1/(1 - rho)
 charpoly   K = p''(1) / (2 p'(1)) from the characteristic polynomial
 resistance K = d^T R d / (4m) via the Laplacian pseudoinverse (vertex walk)
@@ -17,8 +19,9 @@ Scalar mode
 A chain's dtype is its scalar mode: object arrays hold exact ints and
 Fractions, float64 arrays floats.  Each route has one body for both; linear
 algebra goes through one solve dispatch, ``_solve`` (``ratmath``'s exact
-kernels or ``np.linalg``), and a comparison's bound is 0 in exact mode, so
-one test serves both.  Routes return Fractions or builtin floats.
+kernels or ``np.linalg``), or its scaled inverse ``_inverse_scaled``, which
+keeps an exact inverse integral.  A comparison's bound is 0 in exact mode,
+so one test serves both.  Routes return Fractions or builtin floats.
 """
 
 from __future__ import annotations
@@ -74,6 +77,32 @@ def _solve(A: np.ndarray, b: Optional[np.ndarray], singular: str) -> np.ndarray:
         raise EngineError(singular) from exc
 
 
+def _inverse_scaled(A: np.ndarray, singular: str) -> tuple[Scalar, np.ndarray]:
+    """(s, X) with A X = s I, in the scalar mode of A.
+
+    In exact mode s is ``ratmath``'s nonzero integer denominator and X is
+    integral, so products with X can run over integers.  In float mode
+    s = 1.0 and X = A^{-1}.
+    """
+    if A.dtype != object:
+        return 1.0, _solve(A, None, singular)
+    try:
+        d, Y = ratmath.exact_inverse_scaled(A.tolist())
+    except ValueError as exc:
+        raise EngineError(singular) from exc
+    return d, np.array(Y, dtype=object)
+
+
+def _cleared_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, F) with F = diag(e) M, in the scalar mode of M: in exact mode e_i
+    is the least common denominator of row i, so F is integral; in float
+    mode e = 1 and F = M."""
+    if M.dtype != object:
+        return np.ones(len(M), dtype=int), M
+    e, F = ratmath.clear_row_denominators(M.tolist())
+    return np.array(e, dtype=object), np.array(F, dtype=object)
+
+
 def _scalar(x) -> Scalar:
     """A route's result as a builtin: numpy floats become float, Fractions
     stay Fractions."""
@@ -101,33 +130,64 @@ def stationary(P: ChainMatrix) -> np.ndarray:
     return pi
 
 
-def mfpt(P: ChainMatrix) -> np.ndarray:
-    """Mean first-passage time matrix, one linear solve per target state.
+def _fundamental(P: ChainMatrix) -> tuple[np.ndarray, Scalar, np.ndarray]:
+    """(pi, s, X): the stationary vector and the fundamental matrix
+    Z = (I - P + 1 pi^T)^{-1} of Kemeny and Snell as X = s Z, from one
+    inverse (see ``_inverse_scaled``)."""
+    pi = stationary(P)
+    A = -P.data
+    A += pi
+    A[np.diag_indices(P.order)] += 1
+    s, X = _inverse_scaled(A, "chain is reducible: fundamental matrix is singular")
+    return pi, s, X
 
-    For target j, solve (I - P) m = 1 with row j replaced by m_j = 0; the
-    diagonal is zero by convention.
+
+def _first_step_residual(P: ChainMatrix, pi: np.ndarray, s: Scalar, X: np.ndarray) -> float:
+    """max |(I - P) Z - (I - 1 pi^T)| for Z = X / s, with P X taken over P's
+    nonzeros.
+
+    The equations hold only when pi is the stationary vector, and they fix
+    (1 diag(Z)^T - Z) diag(pi)^{-1} as the mean first-passage matrix: the
+    kernel of I - P is span 1, and Z + 1 w^T gives the same matrix.  Row i
+    is computed times e_i q s, where e_i and q clear the denominators of P's
+    row i and of pi, so in exact mode it runs over integers; in float mode
+    e = q = 1 and s = 1.0.
     """
-    N = P.order
-    I = np.eye(N, dtype=P.data.dtype)
-    I_minus_P = I - P.data
-    out = np.zeros((N, N), dtype=P.data.dtype)
-    for j in range(N):
-        A = I_minus_P.copy()
-        A[j] = I[j]
-        out[:, j] = _solve(A, 1 - I[j], "chain is reducible: passage-time system is singular")
-    return out
+    e, F = _cleared_rows(P.data)
+    (q,), (qpi,) = _cleared_rows(pi[None])
+    T = X * q
+    T += s * qpi
+    T *= e[:, None]
+    T[np.diag_indices(P.order)] -= e * (q * s)
+    for i, row in enumerate(F):
+        nz = np.flatnonzero(row)
+        T[i] -= q * (row[nz] @ X[nz])
+    return float(np.max(np.max(np.abs(T), axis=1) / (e * (q * abs(s)))))
+
+
+def mfpt(P: ChainMatrix) -> np.ndarray:
+    """Mean first-passage time matrix from the fundamental matrix,
+    m(i, j) = (z_jj - z_ij) / pi_j; the diagonal is zero."""
+    pi, s, X = _fundamental(P)
+    return (np.diag(X) - X) / (s * pi)
 
 
 def kemeny_mfpt(P: ChainMatrix) -> tuple[Scalar, float]:
     """Kemeny's constant from mean first-passage times.
 
-    Returns (K, spread) where K = sum_j m(0, j) pi_j and spread is the
-    max-min gap of that sum over all start states (zero in theory).
+    Returns (K, residual) where K = sum_j m(0, j) pi_j, from row 0 of the
+    passage-time matrix, and residual is the max-abs residual of the
+    first-step equations (I - P) Z = I - 1 pi^T (zero in theory).  K itself
+    is tr(Z) - 1 for any pi that sums to 1, so only the residual sees a
+    wrong pi.  In float mode it also measures the error of the inverse.  In
+    exact mode Z is an exact inverse, so the residual reduces to
+    1 pi^T (I - P) Z: it is zero exactly when pi^T P = pi^T, which
+    ``stationary`` has already verified with bound 0, and it adds nothing
+    to that verification.
     """
-    pi = stationary(P)
-    M = mfpt(P)
-    kappa = M @ pi
-    return _scalar(kappa[0]), float(np.max(kappa) - np.min(kappa))
+    pi, s, X = _fundamental(P)
+    m0 = (np.diag(X) - X[0]) / (s * pi)
+    return _scalar(m0 @ pi), _first_step_residual(P, pi, s, X)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +374,7 @@ class KemenyReport:
     k_nb: Optional[Scalar]
     routes: dict[str, dict[str, Scalar]]
     residuals: dict[str, float]
-    kappa_spread: dict[str, float]
+    kappa_spread: dict[str, float]  # the mfpt route's first-step residual
     modes: dict[str, str]
     identity_residual: float
     identity_exact: bool

@@ -4,7 +4,8 @@ Everything here is denominator-aware: rational inputs are cleared of their
 row denominators, and one fraction-free (Bareiss) elimination over plain
 Python ints serves solves, inverses and determinants.  Every division in it
 is exact, so no Fraction arithmetic runs in the hot loops; solutions become
-Fractions only at the end.
+Fractions only at the end, or stay integers over one common denominator
+(``exact_inverse_scaled``).
 
 The pencil functions (``pencil_poly``, ``charpoly_pencil``) and
 ``kemeny_from_charpoly`` are the exact reference for the engine's charpoly
@@ -57,11 +58,12 @@ def _bareiss(M: list[list[int]], n: int) -> int:
     return sign
 
 
-def _solve(rows: list[list[Scalar]], n: int, what: str) -> list[list[Fraction]]:
+def _solve(rows: list[list[Scalar]], n: int, what: str) -> tuple[int, list[list[int]]]:
     """Solve A X = B exactly from the rows of [A | B], A being n x n.
 
-    After elimination det * X is integral, so back-substitution runs on it
-    over integers and every division is exact.
+    Returns (d, Y) with X = Y / d.  After elimination d * X is integral, d
+    being the last pivot, so back-substitution runs on it over integers and
+    every division is exact.
     """
     _, M = clear_row_denominators(rows)
     if not _bareiss(M, n):
@@ -72,7 +74,7 @@ def _solve(rows: list[list[Scalar]], n: int, what: str) -> list[list[Fraction]]:
         Mi = M[i]
         X[i] = [(det * Mi[c] - sum(Mi[j] * X[j][c - n] for j in range(i + 1, n))) // Mi[i]
                 for c in range(n, len(Mi))]
-    return [[Fraction(v, det) for v in row] for row in X]
+    return det, X
 
 
 def exact_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:
@@ -80,11 +82,22 @@ def exact_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Frac
 
     Raises ValueError if A is singular.
     """
-    return [row[0] for row in _solve([[*r, bi] for r, bi in zip(A, b)], len(A), "system")]
+    d, Y = _solve([[*r, bi] for r, bi in zip(A, b)], len(A), "system")
+    return [Fraction(row[0], d) for row in Y]
 
 
 def exact_inverse(A: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     """Invert a matrix exactly, by fraction-free elimination of [A | I].
+
+    Raises ValueError if A is singular.
+    """
+    d, Y = exact_inverse_scaled(A)
+    return [[Fraction(v, d) for v in row] for row in Y]
+
+
+def exact_inverse_scaled(A: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
+    """(d, Y) with A Y = d I and Y integral: the inverse before its division
+    by the nonzero integer d, so products with it need no Fraction arithmetic.
 
     Raises ValueError if A is singular.
     """

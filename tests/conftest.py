@@ -1,9 +1,10 @@
 """Shared fixtures: named graphs, seeded random generators, and an
-independent fundamental-matrix oracle for Kemeny values.
+independent per-target passage-time oracle for Kemeny values.
 
-The oracle computes K = tr(Z) - 1 with Z = (I - P + 1 pi^T)^{-1}, built
-from raw adjacency dictionaries, so it shares no route with the engine
-(which uses masked MFPT solves, eigenvalues, the characteristic
+The oracle computes K = sum_j m(0, j) pi_j with one masked linear solve per
+target state j and pi from an eigenvector of P^T, on chains built from raw
+adjacency dictionaries, so it shares no route with the engine (which uses
+one fundamental-matrix inverse, eigenvalues, the deflated characteristic
 polynomial, and resistances).
 """
 
@@ -113,14 +114,22 @@ def random_cubic(n: int, rng: random.Random) -> Graph:
 
 
 def oracle_kemeny(P: np.ndarray) -> float:
-    """Kemeny's constant via the fundamental matrix, K = tr(Z) - 1."""
+    """Kemeny's constant from mean first-passage times: for each target j,
+    solve (I - P) m = 1 with row j replaced by m_j = 0."""
     N = P.shape[0]
     evals, evecs = np.linalg.eig(P.T)
     k = int(np.argmin(np.abs(evals - 1.0)))
     pi = np.real(evecs[:, k])
     pi = pi / pi.sum()
-    Z = np.linalg.inv(np.eye(N) - P + np.outer(np.ones(N), pi))
-    return float(np.trace(Z)) - 1.0
+    M = np.zeros((N, N))
+    for j in range(N):
+        A = np.eye(N) - P
+        A[j] = 0.0
+        A[j, j] = 1.0
+        b = np.ones(N)
+        b[j] = 0.0
+        M[:, j] = np.linalg.solve(A, b)
+    return float(M[0] @ pi)
 
 
 def oracle_vertex_P(g: Graph) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Engine routes against frozen fundamental-matrix oracle values.
+"""Engine routes against frozen values and an independent oracle.
 
-The FROZEN constants below were produced by an independent oracle (see
-conftest.oracle_kemeny: fundamental matrix Z = (I - P + 1 pi)^{-1},
-K = tr(Z) - 1, chains built from adjacency dictionaries) and checked
-against each other before being written down.  Engine routes must
-reproduce them exactly in rational mode.
+The FROZEN constants below were produced by a fundamental-matrix oracle
+(Z = (I - P + 1 pi)^{-1}, K = tr(Z) - 1, chains built from adjacency
+dictionaries) and checked against each other before being written down.
+Engine routes must reproduce them exactly in rational mode.  The random
+graphs are checked against conftest.oracle_kemeny, which takes one masked
+passage-time solve per target, a construction the engine does not share.
 """
 
 import random
@@ -38,6 +39,7 @@ from nbkemeny import (
     resistance,
     stationary,
 )
+from nbkemeny import engine
 from nbkemeny.ratmath import charpoly_pencil
 
 from conftest import (
@@ -45,6 +47,7 @@ from conftest import (
     oracle_kemeny,
     oracle_nb_P,
     oracle_vertex_P,
+    random_cubic,
     random_min2,
 )
 
@@ -151,6 +154,27 @@ class TestMfpt:
         _, spread = kemeny_mfpt(P)
         assert spread == 0.0
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_first_step_check_catches_wrong_stationary(self, exact, monkeypatch):
+        # K = tr(Z) - 1 whatever pi is, so the routes still agree; only the
+        # first-step residual sees the moved mass, and it reads that mass
+        true_stationary = engine.stationary
+
+        def shifted(P):
+            pi = true_stationary(P).copy()
+            moved = pi[0] / 4
+            pi[0] -= moved
+            pi[1] += moved
+            return pi
+
+        monkeypatch.setattr(engine, "stationary", shifted)
+        rep = kemeny_triple(gen_cycle_barbell(3, 4, 6), mode="exact" if exact else "float")
+        assert rep.failed
+        # vertex 0 has degree 3 of 2m = 24, so a quarter of pi_0 is 1/32
+        assert rep.kappa_spread["vertex"] == pytest.approx(1 / 32, rel=1e-9)
+        assert all(r < 1e-12 for r in rep.residuals.values())
+        assert rep.identity_residual < 1e-12
+
 
 class TestFrozenValues:
     @pytest.mark.parametrize("name", list(FROZEN))
@@ -186,7 +210,7 @@ class TestFrozenValues:
 
 
 class TestRandomAgainstOracle:
-    def test_routes_match_fundamental_matrix(self):
+    def test_routes_match_per_target_oracle(self):
         rng = random.Random(20260816)
         for _ in range(10):
             g = random_min2(rng.randrange(5, 10), rng)
@@ -358,6 +382,16 @@ class TestTriple:
         assert rep.identity_residual < 1e-10
         for walk in ("vertex", "edge", "non-backtracking"):
             assert rep.residuals[walk] < 1e-9
+
+    def test_float_report_at_benchmark_scale(self):
+        # 2m = 600 states per arc walk
+        g = random_cubic(200, random.Random(20261018))
+        rep = kemeny_triple(g, mode="float", tol=1e-9)
+        assert not rep.failed
+        for walk in ("vertex", "edge", "non-backtracking"):
+            vals = [rep.routes[walk][r] for r in ("mfpt", "spectrum", "charpoly")]
+            assert max(vals) - min(vals) <= 1e-9
+            assert rep.kappa_spread[walk] <= 1e-9
 
     def test_auto_mode_splits_on_cap(self):
         g = gen_necklace(5)  # n = 22 states for the vertex walk, 2m = 66

@@ -11,6 +11,7 @@ from nbkemeny.ratmath import (
     charpoly_pencil,
     clear_row_denominators,
     exact_inverse,
+    exact_inverse_scaled,
     exact_solve,
     format_scalar,
     pencil_poly,
@@ -71,6 +72,19 @@ class TestSolve:
             prod = [[sum(Fraction(A[i][k]) * inv[k][j] for k in range(n))
                      for j in range(n)] for i in range(n)]
             assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def test_scaled_inverse_is_integral(self):
+        rng = random.Random(3)
+        for A in nonsingular_cases(rng, (1, 4)):
+            n = len(A)
+            d, Y = exact_inverse_scaled(A)
+            assert d != 0
+            assert all(type(v) is int for row in Y for v in row)
+            prod = [[sum(Fraction(A[i][k]) * Y[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)]
+            assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+        with pytest.raises(ValueError):
+            exact_inverse_scaled([[1, 2], [2, 4]])
 
 
 class TestDeterminant:
