@@ -3,7 +3,11 @@
 Provides a self-contained canonical form (equitable refinement with
 individualization, maximizing the relabeled adjacency bitstring), an
 isomorphism-free enumerator for all graphs on 4..8 vertices built on it,
-the edge-vs-non-backtracking comparison census over those graphs or over
+which keeps the first child seen per class and augments only one
+non-edge per orbit of the automorphisms the canonical search proves
+(isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998; the pruned children would never have been first), the
+edge-vs-non-backtracking comparison census over those graphs or over
 an externally supplied graph6 corpus, and the balanced cycle-barbell
 sweep.  Census values are computed with the spectral route; exactness
 obligations and spot-checks against the other routes live in the tests.
@@ -34,43 +38,56 @@ class CensusError(ValueError):
 # bitmasks over all labelings the refinement search admits.  Vertices in
 # the same cell that a transposition swaps onto each other (twins) branch
 # only once, which keeps highly symmetric graphs from exploding the
-# search.
+# search.  The search reports the automorphisms it proves along the way,
+# the skipped twin swaps and the maps between leaves of equal
+# certificate, which the enumerator uses to skip isomorphic children.
 
 
-def _refine(adj: Sequence[int], cells: list) -> list:
-    # iterate signature splitting until the partition is equitable
-    while True:
-        cell_masks = []
-        for cell in cells:
-            mask = 0
-            for v in cell:
-                mask |= 1 << v
-            cell_masks.append(mask)
+def _refine(adj: Sequence[int], cells: list, splitters: list, width: int) -> list:
+    # Each round splits every cell by its vertices' neighbour counts in
+    # the round's cells, sub-cells in descending order of the count tuple,
+    # until a round splits nothing (the partition is equitable).  Vertices
+    # that share a cell have equal counts in every cell the previous round
+    # left whole, so the cells it created (`splitters`, as masks in cell
+    # order; the caller names those of the first round) decide both the
+    # split and its order.  A signature packs the counts in the splitters
+    # `width` bits each, first highest; every count is below 2**width, so
+    # the integers order as the tuples do.
+    n = len(adj)
+    while splitters and len(cells) < n:
         new_cells = []
-        changed = False
+        new_splitters = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
             groups = {}
             for v in cell:
-                sig = tuple(bin(adj[v] & cm).count("1") for cm in cell_masks)
+                row = adj[v]
+                sig = 0
+                for mask in splitters:
+                    sig = sig << width | (row & mask).bit_count()
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups, reverse=True):
-                    new_cells.append(groups[sig])
-        cells = new_cells
-        if not changed:
-            return cells
+                continue
+            for sig in sorted(groups, reverse=True):
+                group = groups[sig]
+                new_cells.append(group)
+                mask = 0
+                for v in group:
+                    mask |= 1 << v
+                new_splitters.append(mask)
+        cells, splitters = new_cells, new_splitters
+    return cells
 
 
 def _certificate(adj: Sequence[int], order: Sequence[int]) -> tuple:
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
     rows = [0] * len(order)
-    for v, i in pos.items():
+    for i, v in enumerate(order):
         bits = adj[v]
         while bits:
             low = bits & -bits
@@ -80,9 +97,13 @@ def _certificate(adj: Sequence[int], order: Sequence[int]) -> tuple:
 
 
 def _canonical_core(n: int, adj: Sequence[int]) -> tuple:
-    """Best (certificate, vertex order) over the refinement search tree."""
+    """Best (certificate, vertex order) over the refinement search tree,
+    with the automorphisms the search proved on the way, each a tuple
+    mapping vertex v to its image."""
+    width = n.bit_length()
     best_cert: Optional[tuple] = None
     best_order: Optional[list] = None
+    generators = []
 
     def descend(cells: list) -> None:
         nonlocal best_cert, best_order
@@ -91,22 +112,36 @@ def _canonical_core(n: int, adj: Sequence[int]) -> tuple:
                 continue
             reps = []
             for v in cell:
-                # swapping true twins is an automorphism, so one branch
-                # per twin class suffices
-                if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in reps):
-                    continue
-                reps.append(v)
+                # swapping true twins is an automorphism (recorded), so
+                # one branch per twin class suffices
+                for u in reps:
+                    if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                        swap = list(range(n))
+                        swap[u], swap[v] = v, u
+                        generators.append(tuple(swap))
+                        break
+                else:
+                    reps.append(v)
             for v in reps:
+                # the partition is equitable, so within any cell the count
+                # in `rest` is a constant minus the count in [v]
                 rest = [w for w in cell if w != v]
-                descend(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1:]))
+                descend(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1:],
+                                [1 << v], width))
             return
         order = [v for cell in cells for v in cell]
         cert = _certificate(adj, order)
         if best_cert is None or cert > best_cert:
             best_cert, best_order = cert, order
+        elif cert == best_cert:
+            # both orders relabel the graph onto the same certificate
+            image = [0] * n
+            for a, b in zip(best_order, order):
+                image[a] = b
+            generators.append(tuple(image))
 
-    descend(_refine(adj, [list(range(n))]))
-    return best_cert, best_order
+    descend(_refine(adj, [list(range(n))], [(1 << n) - 1], width))
+    return best_cert, best_order, generators
 
 
 def _adjacency_masks(g: Graph) -> list:
@@ -120,7 +155,7 @@ def _adjacency_masks(g: Graph) -> list:
 def canonical_labeling(g: Graph) -> tuple:
     """Canonical relabeling (old index -> new index): two graphs are
     isomorphic iff their relabeled edge sets coincide."""
-    _, order = _canonical_core(g.n, _adjacency_masks(g))
+    _, order, _ = _canonical_core(g.n, _adjacency_masks(g))
     perm = [0] * g.n
     for new, old in enumerate(order):
         perm[old] = new
@@ -149,6 +184,27 @@ def _mask_graph(n: int, adj: Sequence[int]) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1))
 
 
+def _orbit_leaders(n: int, adj: Sequence[int], generators: list) -> Iterator[tuple]:
+    """The first non-edge (u, v), in (u, v) loop order, of each orbit of
+    non-edges under the group the automorphisms generate."""
+    covered = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u] >> v & 1 or (u, v) in covered:
+                continue
+            yield u, v
+            covered.add((u, v))
+            stack = [(u, v)]
+            while stack:
+                a, b = stack.pop()
+                for image in generators:
+                    x, y = image[a], image[b]
+                    pair = (x, y) if x < y else (y, x)
+                    if pair not in covered:
+                        covered.add(pair)
+                        stack.append(pair)
+
+
 def enumerate_graphs(n: int, min_degree: int = 2,
                      exclude_cycles: bool = True) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of graphs on n
@@ -157,15 +213,24 @@ def enumerate_graphs(n: int, min_degree: int = 2,
 
     Built-in generation covers 4 <= n <= 8 by breadth-first edge
     augmentation over canonical representatives; larger vertex counts
-    must come from an external graph6 corpus.
+    must come from an external graph6 corpus.  Each level keeps, per
+    canonical certificate, the first child seen in parent order and
+    (u, v) loop order, and yields the level sorted by adjacency rows.
+    Non-edges of a parent in one orbit of the automorphisms its
+    canonical search proved give isomorphic children, so only the first
+    of each orbit is augmented.  That one is seen before the rest, so
+    every class keeps the representative that augmenting every non-edge
+    would keep, and the yielded graphs and their order do not change.
     """
     if not 4 <= n <= 8:
         raise CensusError(
             f"built-in enumeration covers 4 <= n <= 8, not n={n}; "
             "feed a graph6 corpus instead")
-    level = {(0,) * n: (0,) * n}
+    empty = (0,) * n
+    cert, _, generators = _canonical_core(n, empty)
+    level = {cert: (empty, generators)}
     while level:
-        for adj in sorted(level.values()):
+        for adj, _ in sorted(level.values()):
             g = _mask_graph(n, adj)
             if min(g.degrees) < min_degree or not g.is_connected():
                 continue
@@ -173,17 +238,14 @@ def enumerate_graphs(n: int, min_degree: int = 2,
                 continue
             yield g
         nxt = {}
-        for adj in level.values():
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if adj[u] >> v & 1:
-                        continue
-                    cand = list(adj)
-                    cand[u] |= 1 << v
-                    cand[v] |= 1 << u
-                    cert, _ = _canonical_core(n, cand)
-                    if cert not in nxt:
-                        nxt[cert] = tuple(cand)
+        for adj, generators in level.values():
+            for u, v in _orbit_leaders(n, adj, generators):
+                cand = list(adj)
+                cand[u] |= 1 << v
+                cand[v] |= 1 << u
+                cert, _, found = _canonical_core(n, cand)
+                if cert not in nxt:
+                    nxt[cert] = (tuple(cand), found)
         level = nxt
 
 
@@ -195,8 +257,10 @@ def enumerate_graphs(n: int, min_degree: int = 2,
 class CensusRecord:
     """One graph's comparison outcome.
 
-    diff_sign is 'nb_smaller', 'equal' (within 1e-9), or
-    'nb_larger_or_equal'.
+    diff_sign is 'nb_smaller' (K_nb - K_e < -1e-9), 'equal'
+    (|K_nb - K_e| <= 1e-9) or 'nb_larger_or_equal', which means
+    K_nb - K_e > 1e-9: ties are 'equal'.  The label keeps its name so
+    that census output bytes stay the same.
     """
 
     graph_id: str

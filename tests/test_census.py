@@ -1,5 +1,6 @@
 """Canonical forms, the exhaustive census, and the barbell sweep."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -31,12 +32,33 @@ from nbkemeny import (
     sweep_skipped,
     to_graph6,
 )
+from nbkemeny import census
 
+import census_reference as reference
 from conftest import PETERSEN_EDGES, random_connected
 
 
 def relabel(g, perm):
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def atlas_masks(max_n, connected_only):
+    """Adjacency row masks of every graph in the atlas on 1..max_n
+    vertices."""
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if not 1 <= n <= max_n or (connected_only and not nx.is_connected(h)):
+            continue
+        adj = [0] * n
+        for u, v in h.edges():
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        yield n, adj
+
+
+def named_masks():
+    for g in (from_edge_list(10, PETERSEN_EDGES), gen_complete_bipartite(3, 3)):
+        yield g.n, census._adjacency_masks(g)
 
 
 class TestCanonicalForm:
@@ -78,10 +100,41 @@ class TestCanonicalForm:
         g = gen_complete(6)
         assert canonical_graph(g).edges == g.edges
 
+    def test_search_matches_reference(self):
+        # same certificate and vertex order as the tuple-keyed search
+        rng = random.Random(5)
+        cases = list(named_masks())
+        for n, adj in atlas_masks(7, connected_only=True):
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                moved = [0] * n
+                for u in range(n):
+                    for v in range(n):
+                        if adj[u] >> v & 1:
+                            moved[perm[u]] |= 1 << perm[v]
+                cases.append((n, moved))
+        assert len(cases) == 2 + 3 * 996
+        for n, adj in cases:
+            cert, order, _ = census._canonical_core(n, adj)
+            assert (cert, order) == reference._canonical_core(n, adj), adj
+
+    def test_recorded_automorphisms_preserve_edges(self):
+        checked = 0
+        for n, adj in [*atlas_masks(6, connected_only=False), *named_masks()]:
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                     if adj[u] >> v & 1}
+            for image in census._canonical_core(n, adj)[2]:
+                assert sorted(image) == list(range(n))
+                assert {tuple(sorted((image[u], image[v])))
+                        for u, v in edges} == edges, (adj, image)
+                checked += 1
+        assert checked > 500
+
 
 class TestEnumeration:
     # connected simple graphs on n vertices, a classical count
-    CONNECTED = {4: 6, 5: 21, 6: 112, 7: 853}
+    CONNECTED = {4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
     # after the min-degree >= 2 and no-cycle filters
     CORPUS = {4: 2, 5: 10, 6: 60, 7: 506}
 
@@ -92,6 +145,22 @@ class TestEnumeration:
                    if h.number_of_nodes() == n and nx.is_connected(h))
         got = len(list(enumerate_graphs(n, min_degree=0, exclude_cycles=False)))
         assert got == want == self.CONNECTED[n]
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_representatives_match_unpruned_enumeration(self, n):
+        # orbit pruning keeps every class's first-seen representative
+        got = [g.edges for g in enumerate_graphs(n, 0, False)]
+        want = [g.edges for g in reference.enumerate_graphs(n, 0, False)]
+        assert got == want
+        assert len(got) == self.CONNECTED[n]
+
+    def test_representatives_pinned_at_n8(self):
+        # the unpruned enumerator's sequence, too slow to rerun here; the
+        # count is OEIS A001349
+        got = [g.edges for g in enumerate_graphs(8, 0, False)]
+        assert len(got) == self.CONNECTED[8]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+            "f2cafb72c34b1fccf4e8dcec751a6a18d1a8e04d65c50753318c160769a629a4")
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_corpus_counts(self, n):
@@ -127,6 +196,16 @@ class TestCensus:
         assert summary["count_nb_ge_e"] == 18
         assert summary["equal_list"] == [
             canonical_graph6(gen_complete_bipartite(3, 3))]
+
+    @pytest.mark.parametrize("n, digest", [
+        (6, "dd9feddaa008dd414f67e848c6861dd98b2a513fd3a2ac70590bf8047a6f720d"),
+        (7, "29aa187cd460327e14633758d77e5f7a4136660b24cd4a05c534fed5db27a496"),
+    ])
+    def test_labels_pinned(self, n, digest):
+        # names, sizes and signs only: the float columns rest on LAPACK
+        text = "\n".join(f"{r.graph_id},{r.n},{r.m},{r.diff_sign}"
+                         for r in census_nb_vs_edge(n).records)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_records_are_sorted_and_consistent(self):
         result = census_nb_vs_edge(5)
