@@ -22,7 +22,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .chains import build_matrix
 from .engine import kemeny_spectrum
 from .formulas import barbell_kemeny
-from .graphs import BarbellParams, Graph, GraphError, parse_graph6, profile, to_graph6
+from .graphs import (
+    BarbellParams, Graph, GraphError, check_graph6_order, parse_graph6, profile, to_graph6,
+)
 
 EQUALITY_TOL = 1e-9
 
@@ -171,7 +173,9 @@ def canonical_graph(g: Graph) -> Graph:
 
 def canonical_graph6(g: Graph) -> str:
     """graph6 encoding of the canonical form; equal strings mean
-    isomorphic graphs."""
+    isomorphic graphs.  A graph too large to encode is refused before the
+    search."""
+    check_graph6_order(g.n)
     return to_graph6(canonical_graph(g))
 
 

@@ -14,18 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
 from .graphs import Graph, profile
-
-ChainKind = Literal[
-    "vertex", "edge", "non-backtracking",
-    "adjacency", "degree",
-    "incidence-T", "incidence-S", "reversal",
-    "edge-adjacency", "nb-adjacency", "edge-degree",
-]
 
 TRANSITION_KINDS = ("vertex", "edge", "non-backtracking")
 
@@ -246,10 +238,11 @@ def nb_transition(g: Graph, exact: bool = False) -> ChainMatrix:
         g, exact, non_backtracking=True, stochastic=True))
 
 
-_BUILDERS = {
-    "vertex": vertex_transition,
+# every named matrix, in the order ``kemeny matrices --kind`` lists them
+MATRIX_BUILDERS = {
     "adjacency": adjacency_matrix,
     "degree": degree_matrix,
+    "vertex": vertex_transition,
     "edge": edge_transition,
     "non-backtracking": nb_transition,
     "edge-adjacency": edge_adjacency,
@@ -263,6 +256,6 @@ _BUILDERS = {
 
 def build_matrix(g: Graph, kind: str, exact: bool = False) -> ChainMatrix:
     """Construct any named matrix for a graph (CLI entry point)."""
-    if kind not in _BUILDERS:
+    if kind not in MATRIX_BUILDERS:
         raise ChainError(f"unknown matrix kind {kind!r}")
-    return _BUILDERS[kind](g, exact)
+    return MATRIX_BUILDERS[kind](g, exact)

@@ -351,11 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_and_mode(p)
     output_and_input(p)
     p.set_defaults(output="csv")
-    p.add_argument("--kind", default="vertex",
-                   choices=("adjacency", "degree", "vertex", "edge",
-                            "non-backtracking", "edge-adjacency",
-                            "nb-adjacency", "edge-degree", "incidence-T",
-                            "incidence-S", "reversal"),
+    p.add_argument("--kind", default="vertex", choices=tuple(chains.MATRIX_BUILDERS),
                    help="which matrix to dump (default vertex)")
 
     p = sub.add_parser("closed-form", help="evaluate a named closed form")

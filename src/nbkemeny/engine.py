@@ -6,7 +6,9 @@ mfpt       definition: K = sum_j m(0, j) pi_j, all m(i, j) from one inverse
            Z = (I - P + 1 pi^T)^{-1}, checked by the first-step equations
            (I - P) Z = I - 1 pi^T
 spectrum   K = sum over non-unit eigenvalues of 1/(1 - rho)
-charpoly   K = p''(1) / (2 p'(1)) from the characteristic polynomial
+charpoly   K = p''(1) / (2 p'(1)) from the characteristic polynomial, as
+           tr((I - P22)^{-1}) for the block P22 = P[1:, 1:] - P[0, 1:] that
+           the one similarity S = [1 | e2 ... eN] leaves beside the unit root
 resistance K = d^T R d / (4m) via the Laplacian pseudoinverse (vertex walk)
 
 The three walks of a graph (vertex, edge-space, non-backtracking) are tied
@@ -209,12 +211,10 @@ class Spectrum:
         Pf = P.as_float()
         if P.kind == "vertex":
             # the simple walk is similar to a symmetric matrix: use the
-            # stable symmetric solver on D^{1/2} P D^{-1/2}
-            rowmax = Pf.max(axis=1)
-            deg = np.round(1.0 / rowmax)
-            if np.allclose(Pf * rowmax[:, None] * deg[:, None], Pf, atol=1e-12):
-                half = np.sqrt(deg)
-                sym = (half[:, None] * Pf) / half[None, :]
+            # stable symmetric solver on D^{1/2} P D^{-1/2} when it is one
+            half = np.sqrt(np.round(1.0 / Pf.max(axis=1)))
+            sym = (half[:, None] * Pf) / half[None, :]
+            if np.allclose(sym, sym.T, rtol=0, atol=1e-12):
                 ev = np.linalg.eigvalsh((sym + sym.T) / 2.0).astype(complex)
             else:
                 ev = np.linalg.eigvals(Pf)
@@ -258,14 +258,14 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     """Kemeny's constant K = p''(1) / (2 p'(1)) from the characteristic
     polynomial, taken at the deflated unit root.
 
-    A similarity S that sends e1 to the all-ones vector 1 gives S^{-1} P S
-    the first column e1, so p(x) = (x - 1) g(x) with g the polynomial of the
-    trailing block P22, and K = g'(1)/g(1) = tr((I - P22)^{-1}) by Jacobi's
-    formula.  Float mode takes for S the Householder reflector that maps 1
-    to a multiple of e1; exact mode the rational S = [1 | e2 ... eN], whose
-    block is P[1:, 1:] - P[0, 1:].  One solve at the root avoids the
-    cancellation a probe of the determinant suffers there and keeps the
-    route independent of the eigensolver.
+    The rational similarity S = [1 | e2 ... eN] sends e1 to the all-ones
+    vector 1, so S^{-1} P S has the first column e1 and the trailing block
+    P22 = P[1:, 1:] - P[0, 1:]: p(x) = (x - 1) g(x) with g the polynomial of
+    P22, and K = g'(1)/g(1) = tr((I - P22)^{-1}) by Jacobi's formula.  Both
+    scalar modes build this block, without pi, and invert it with one
+    ``_solve``.  One solve at the root avoids the cancellation a probe of the
+    determinant suffers there and keeps the route independent of the
+    eigensolver and of the mfpt route's fundamental matrix.
 
     The deflation needs P 1 = 1, so only transition kinds are accepted; a
     unit root that is not simple makes I - P22 singular.
@@ -275,14 +275,7 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     N = P.order
     if N == 1:
         return Fraction(0) if P.exact else 0.0
-    if P.exact:
-        P22 = P.data[1:, 1:] - P.data[0, 1:]
-    else:
-        w = np.ones(N)
-        w[0] += np.sqrt(N)
-        H = np.eye(N) - (2.0 / (w @ w)) * np.outer(w, w)
-        P22 = (H @ P.data @ H)[1:, 1:]
-    M = np.eye(N - 1, dtype=P.data.dtype) - P22
+    M = np.eye(N - 1, dtype=P.data.dtype) - (P.data[1:, 1:] - P.data[0, 1:])
     X = _solve(M, None, "unit root is not simple: deflated system singular")
     k = _scalar(np.trace(X))
     if not math.isfinite(k):
@@ -433,6 +426,11 @@ def _max_pairwise(vals: dict[str, Scalar]) -> float:
     return max(abs(a - b) for a in xs for b in xs)
 
 
+def _exact_disagree(vals: dict[str, Scalar]) -> bool:
+    """Whether two exact routes differ at all: a float cast could hide it."""
+    return len({v for v in vals.values() if isinstance(v, Fraction)}) > 1
+
+
 def kemeny_triple(
     g: Graph,
     mode: str = "auto",
@@ -449,8 +447,9 @@ def kemeny_triple(
         ``EXACT_STATE_CAP`` states and floats beyond.
     tol : float
         Tolerance for route residuals and the shift identity; exceeding it
-        sets the ``failed`` flag.  Must be finite and >= 0 (ValueError
-        otherwise): NaN or infinity would let every residual pass.
+        sets the ``failed`` flag, as does any gap between two exact routes.
+        Must be finite and >= 0 (ValueError otherwise): NaN or infinity
+        would let every residual pass.
 
     Returns
     -------
@@ -499,6 +498,7 @@ def kemeny_triple(
         any(r > tol for r in residuals.values())
         or any(s > tol for s in spreads.values())
         or identity_residual > tol
+        or any(_exact_disagree(vals) for vals in routes.values())
     )
     return KemenyReport(
         n=g.n,

@@ -278,10 +278,15 @@ def parse_graph6(text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
+def check_graph6_order(n: int) -> None:
+    """Raise GraphError unless short-form graph6 can encode n vertices."""
+    if n > 62:
+        raise GraphError(f"graph6 short form limited to n <= 62, got n={n}")
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a short-form graph6 string (requires n <= 62)."""
-    if g.n > 62:
-        raise GraphError(f"graph6 short form limited to n <= 62, got n={g.n}")
+    check_graph6_order(g.n)
     bits = []
     for col in range(1, g.n):
         for row in range(col):

@@ -10,6 +10,7 @@ import pytest
 from nbkemeny import (
     BarbellParams,
     CensusError,
+    GraphError,
     barbell_kemeny,
     barbell_sweep,
     build_matrix,
@@ -130,6 +131,19 @@ class TestCanonicalForm:
                         for u, v in edges} == edges, (adj, image)
                 checked += 1
         assert checked > 500
+
+    def test_oversized_graph_refused_before_search(self, monkeypatch):
+        # the 6-cube (n = 64) has no short-form graph6 string; its search
+        # alone would take tens of seconds
+        cube = from_edge_list(64, [(u, u ^ 1 << i) for u in range(64)
+                                   for i in range(6) if u < u ^ 1 << i])
+
+        def no_search(*args):
+            raise AssertionError("canonical search ran")
+
+        monkeypatch.setattr(census, "_canonical_core", no_search)
+        with pytest.raises(GraphError, match="n <= 62, got n=64"):
+            canonical_graph6(cube)
 
 
 class TestEnumeration:

@@ -6,11 +6,12 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nbkemeny import cli, gen_complete, to_graph6
+from nbkemeny import cli, engine, gen_complete, to_graph6
 from nbkemeny.cli import parse_generator_spec
 
 
@@ -155,6 +156,15 @@ class TestCompute:
         assert code == 2
         assert "cross-check" in err
         # the report itself is still printed for inspection
+        assert json.loads(out)["failed"] is True
+
+    def test_exact_route_gap_below_tol_fails_crosscheck(self, capsys, monkeypatch):
+        charpoly = engine.kemeny_charpoly
+        monkeypatch.setattr(engine, "kemeny_charpoly",
+                            lambda P: charpoly(P) + Fraction(1, 10**12))
+        code, out, err = invoke(capsys, "compute", "barbell:2,3,3", "--mode", "exact")
+        assert code == 2
+        assert "cross-check" in err
         assert json.loads(out)["failed"] is True
 
 

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from nbkemeny import (
+    BarbellParams,
     ChainMatrix,
     EngineError,
     Spectrum,
+    barbell_kemeny,
     build_matrix,
     from_edge_list,
     gen_complete,
@@ -244,6 +246,27 @@ class TestSpectrum:
         with pytest.raises(EngineError):
             kemeny_spectrum(build_matrix(g, "vertex", exact=False))
 
+    def test_vertex_shortcut_needs_a_symmetric_form(self):
+        # doubly stochastic, every row maximum 1/2, yet D^{1/2} C D^{-1/2} = C
+        # is not symmetric: the symmetric solver would give 34/15
+        C = [[0, .5, .25, .25], [.25, 0, .5, .25], [.25, .25, 0, .5], [.5, .25, .25, 0]]
+        P = ChainMatrix("vertex", np.array(C))
+        assert kemeny_spectrum(P) == pytest.approx(86 / 39, abs=1e-12)
+        assert kemeny_mfpt(P)[0] == pytest.approx(86 / 39, abs=1e-12)
+        exact = ChainMatrix("vertex", np.array([[F(x) for x in r] for r in C], dtype=object))
+        assert kemeny_charpoly(exact) == F(86, 39)
+
+    def test_every_simple_walk_takes_the_symmetric_shortcut(self, named_graphs, monkeypatch):
+        def no_general_solver(*args):
+            raise AssertionError("general eigensolver used")
+
+        rng = random.Random(31)
+        graphs = [*named_graphs.values(), gen_path(5), gen_cycle_barbell(4, 3, 7)]
+        graphs += [random_min2(rng.randrange(5, 12), rng) for _ in range(10)]
+        monkeypatch.setattr(np.linalg, "eigvals", no_general_solver)
+        for g in graphs:
+            assert len(Spectrum.of_chain(build_matrix(g, "vertex")).values) == g.n
+
 
 class TestCharpoly:
     def test_from_coeffs_exact(self):
@@ -286,6 +309,41 @@ class TestCharpoly:
         exact = kemeny_from_charpoly(charpoly_pencil(P.data.tolist()))
         floaty = kemeny_charpoly(build_matrix(g, "non-backtracking", exact=False))
         assert floaty == pytest.approx(float(exact), abs=1e-9)
+
+    @pytest.mark.parametrize("k,a,b", [(100, 4, 4), (2, 150, 150)])
+    def test_float_matches_barbell_closed_form(self, k, a, b):
+        # long paths make the walks ill-conditioned: K_e is 3903 and 11714
+        g = gen_cycle_barbell(k, a, b)
+        kv, ke, _ = barbell_kemeny(BarbellParams(k, a, b))
+        for kind, want in (("vertex", kv), ("edge", ke)):
+            got = kemeny_charpoly(build_matrix(g, kind, exact=False))
+            assert got == pytest.approx(float(want), abs=1e-9), kind
+
+    def test_deflation_independent_of_state_zero(self):
+        # the block P[1:, 1:] - P[0, 1:] singles out state 0: moving a
+        # maximum- or a minimum-degree vertex there must not change K
+        rng = random.Random(20261018)
+
+        def moved_to_zero(g, v):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            w = perm.index(0)
+            perm[v], perm[w] = 0, perm[v]
+            return from_edge_list(g.n, [(perm[x], perm[y]) for x, y in g.edges])
+
+        for _ in range(10):
+            g = random_min2(rng.randrange(5, 10), rng)
+            hub = g.degrees.index(max(g.degrees))
+            leaf = g.degrees.index(min(g.degrees))
+            variants = [g, moved_to_zero(g, hub), moved_to_zero(g, leaf)]
+            assert variants[1].degrees[0] == max(g.degrees)
+            assert variants[2].degrees[0] == min(g.degrees)
+            for kind in ("vertex", "edge", "non-backtracking"):
+                exact = {kemeny_charpoly(build_matrix(h, kind, exact=True)) for h in variants}
+                assert len(exact) == 1, (g.edges, kind)
+                floats = [kemeny_charpoly(build_matrix(h, kind, exact=False)) for h in variants]
+                assert max(floats) - min(floats) <= 1e-9, (g.edges, kind)
+                assert floats[0] == pytest.approx(float(exact.pop()), abs=1e-9)
 
     def test_large_float_chain_accuracy(self):
         # 66-state chain: the deflated-trace route must stay at spectral
@@ -419,6 +477,15 @@ class TestTriple:
         for tol in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="tol"):
                 kemeny_triple(gen_complete(4), tol=tol)
+
+    def test_exact_routes_must_agree_exactly(self, monkeypatch):
+        # a gap far below tol, which a float comparison would let pass
+        charpoly = engine.kemeny_charpoly
+        monkeypatch.setattr(engine, "kemeny_charpoly",
+                            lambda P: charpoly(P) + F(1, 10**12))
+        rep = kemeny_triple(gen_cycle_barbell(2, 3, 3), mode="exact")
+        assert rep.failed
+        assert all(r <= rep.tolerance for r in rep.residuals.values())
 
     def test_json_round_trip(self):
         import json
