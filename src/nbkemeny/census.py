@@ -2,15 +2,16 @@
 
 Provides a self-contained canonical form (equitable refinement with
 individualization, maximizing the relabeled adjacency bitstring), an
-isomorphism-free enumerator for all graphs on 4..8 vertices built on it,
-which keeps the first child seen per class and augments only one
-non-edge per orbit of the automorphisms the canonical search proves
+isomorphism-free enumerator for the connected graphs on 4..8 vertices
+built on it, which keeps the first child seen per class and augments only
+one non-edge per orbit of the automorphisms the canonical search proves
 (isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998; the pruned children would never have been first), the
-edge-vs-non-backtracking comparison census over those graphs or over
-an externally supplied graph6 corpus, and the balanced cycle-barbell
-sweep.  Census values are computed with the spectral route; exactness
-obligations and spot-checks against the other routes live in the tests.
+edge-vs-non-backtracking comparison census over the enumerated graphs on
+which that walk exists or over an externally supplied graph6 corpus, and
+the balanced cycle-barbell sweep.  Census values are computed with the
+spectral route; exactness obligations and spot-checks against the other
+routes live in the tests.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .chains import build_matrix
+from .chains import build_matrix, nb_walk_defect
 from .engine import kemeny_spectrum
 from .formulas import barbell_kemeny
 from .graphs import (
-    BarbellParams, Graph, GraphError, check_graph6_order, parse_graph6, profile, to_graph6,
+    BarbellParams, Graph, GraphError, check_graph6_order, parse_graph6, to_graph6,
 )
 
 EQUALITY_TOL = 1e-9
@@ -209,17 +210,16 @@ def _orbit_leaders(n: int, adj: Sequence[int], generators: list) -> Iterator[tup
                         stack.append(pair)
 
 
-def enumerate_graphs(n: int, min_degree: int = 2,
-                     exclude_cycles: bool = True) -> Iterator[Graph]:
-    """Yield one representative per isomorphism class of graphs on n
-    vertices, filtered to connected graphs of the requested minimum
-    degree, optionally excluding cycles.
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """Yield one representative per isomorphism class of connected graphs
+    on n vertices (OEIS A001349 counts them).
 
     Built-in generation covers 4 <= n <= 8 by breadth-first edge
     augmentation over canonical representatives; larger vertex counts
     must come from an external graph6 corpus.  Each level keeps, per
     canonical certificate, the first child seen in parent order and
-    (u, v) loop order, and yields the level sorted by adjacency rows.
+    (u, v) loop order, and yields the level's connected graphs sorted by
+    adjacency rows (the disconnected ones still parent the next level).
     Non-edges of a parent in one orbit of the automorphisms its
     canonical search proved give isomorphic children, so only the first
     of each orbit is augmented.  That one is seen before the rest, so
@@ -236,11 +236,8 @@ def enumerate_graphs(n: int, min_degree: int = 2,
     while level:
         for adj, _ in sorted(level.values()):
             g = _mask_graph(n, adj)
-            if min(g.degrees) < min_degree or not g.is_connected():
-                continue
-            if exclude_cycles and profile(g).is_cycle:
-                continue
-            yield g
+            if g.is_connected():
+                yield g
         nxt = {}
         for adj, generators in level.values():
             for u, v in _orbit_leaders(n, adj, generators):
@@ -297,11 +294,7 @@ def _evaluate(g: Graph) -> CensusRecord:
 def _qualify(g: Graph) -> Optional[str]:
     if not g.is_connected():
         return "not connected"
-    if min(g.degrees) < 2:
-        return "minimum degree below 2"
-    if profile(g).is_cycle:
-        return "graph is a cycle"
-    return None
+    return nb_walk_defect(g)
 
 
 def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
@@ -309,17 +302,18 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     the edge-space one (within 1e-9).
 
     ``source`` is either a vertex count (built-in exhaustive enumeration,
-    4 <= n <= 8) or an iterable of graph6 strings / Graph objects.
-    Unqualified stream entries (disconnected, min degree < 2, cycles, or
-    unparsable lines) are skipped and tallied in ``skipped`` as
-    (entry, reason) pairs; built-in enumeration already filters them.
-    Records are ordered by (n, m, graph_id).
+    4 <= n <= 8) or an iterable of graph6 strings / Graph objects.  Only
+    connected graphs without a ``chains.nb_walk_defect`` are counted.
+    Other stream entries are tallied in ``skipped`` as (entry, reason)
+    pairs: "not connected", the defect, or the parse error.  Records are
+    ordered by (n, m, graph_id).
     """
     records = []
     skipped = []
     if isinstance(source, int):
-        for g in enumerate_graphs(source):
-            records.append(_evaluate(g))
+        for g in enumerate_graphs(source):  # connected by construction
+            if nb_walk_defect(g) is None:
+                records.append(_evaluate(g))
     else:
         for item in source:
             try:
@@ -378,29 +372,28 @@ class SweepRow:
 def barbell_sweep(n: int) -> list:
     """Balanced cycle-barbell sweep on n vertices.
 
-    For each path length k >= 2 with an integral balanced split
-    a = b = (n - k + 2)/2 >= 3, evaluates the exact closed forms.  Odd
-    totals n - k + 2 have no balanced split and are omitted; use
-    sweep_skipped for the list.  Values are exact fractions.
+    For each path length 2 <= k <= n - 4 with an integral balanced split
+    a = b = (n - k + 2)/2, evaluates the exact closed forms.  Odd totals
+    n - k + 2 have no balanced split and are omitted; use sweep_skipped
+    for the list.  Values are exact fractions.
     """
     if n < 6:
         raise CensusError("a balanced barbell sweep needs n >= 6")
     rows = []
+    skipped = sweep_skipped(n)
     for k in range(2, n - 3):
-        if (n - k + 2) % 2:
-            continue
-        a = (n - k + 2) // 2
-        if a < 3:
-            continue
-        _, k_e, k_nb = barbell_kemeny(BarbellParams(k, a, a))
-        rows.append(SweepRow(k, a, a, k_e, k_nb))
+        if k not in skipped:
+            a = (n - k + 2) // 2
+            _, k_e, k_nb = barbell_kemeny(BarbellParams(k, a, a))
+            rows.append(SweepRow(k, a, a, k_e, k_nb))
     return rows
 
 
 def sweep_skipped(n: int) -> list:
-    """Path lengths omitted from the balanced sweep on n vertices."""
-    return [k for k in range(2, n - 3)
-            if (n - k + 2) % 2 or (n - k + 2) // 2 < 3]
+    """Path lengths omitted from the balanced sweep on n vertices: those
+    with an odd n - k + 2, which has no balanced split (the sweep's
+    k <= n - 4 already makes every split a >= 3)."""
+    return [k for k in range(2, n - 3) if (n - k + 2) % 2]
 
 
 def sweep_csv(rows: Iterable[SweepRow]) -> str:

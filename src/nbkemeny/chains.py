@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, profile
+from .graphs import Graph
 
 TRANSITION_KINDS = ("vertex", "edge", "non-backtracking")
 
@@ -219,21 +219,29 @@ def edge_transition(g: Graph, exact: bool = False) -> ChainMatrix:
         g, exact, non_backtracking=False, stochastic=True))
 
 
-def nb_transition(g: Graph, exact: bool = False) -> ChainMatrix:
-    """Non-backtracking walk P_nb = (D_e - I)^{-1} B.
-
-    Requires min degree >= 2 (otherwise D_e - I is singular) and a
-    non-cycle graph (on a cycle the walk never mixes orientations, so the
-    chain is reducible).
-    """
+def nb_walk_defect(g: Graph) -> str | None:
+    """Why the non-backtracking walk on g does not exist, or None if it does:
+    the one statement of the rule, which the builder, ``kemeny_triple`` and
+    the census ask.  The walk needs min degree >= 2 (else D_e - I is
+    singular) and no cycle graph (where it never mixes orientations); on a
+    connected graph the two make it irreducible (Kempton, "Non-backtracking
+    random walks and a weighted Ihara's theorem", 2016)."""
     low = [v for v in range(g.n) if g.degrees[v] <= 1]
     if low:
-        raise ChainError(
-            f"vertex {low[0]} has degree {g.degrees[low[0]]}; the non-backtracking "
-            "walk needs min degree >= 2"
-        )
-    if profile(g).is_cycle:
-        raise ChainError("graph is a cycle; the non-backtracking walk is reducible")
+        return (f"vertex {low[0]} has degree {g.degrees[low[0]]}; the non-backtracking "
+                "walk needs min degree >= 2")
+    # min degree 2 and max degree 2: every vertex has degree 2
+    if max(g.degrees) == 2 and g.is_connected():
+        return "graph is a cycle; the non-backtracking walk is reducible"
+    return None
+
+
+def nb_transition(g: Graph, exact: bool = False) -> ChainMatrix:
+    """Non-backtracking walk P_nb = (D_e - I)^{-1} B; ChainError carries the
+    reason ``nb_walk_defect`` gives when the walk does not exist."""
+    defect = nb_walk_defect(g)
+    if defect is not None:
+        raise ChainError(defect)
     return ChainMatrix("non-backtracking", _arc_matrix(
         g, exact, non_backtracking=True, stochastic=True))
 

@@ -44,9 +44,10 @@ from .chains import (
     degree_matrix,
     edge_transition,
     nb_transition,
+    nb_walk_defect,
     vertex_transition,
 )
-from .graphs import Graph, profile
+from .graphs import Graph
 
 Scalar = Union[Fraction, float]
 
@@ -459,8 +460,7 @@ def kemeny_triple(
         raise ValueError(f"unknown mode {mode!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    prof = profile(g)
-    if not prof.connected:
+    if not g.is_connected():
         raise EngineError("graph must be connected")
     if g.n < 2:
         raise EngineError("walks need at least two vertices")
@@ -468,13 +468,9 @@ def kemeny_triple(
     def use_exact(states: int) -> bool:
         return mode == "exact" or (mode == "auto" and states <= EXACT_STATE_CAP)
 
-    nb_omitted: Optional[str] = None
     walks = [("vertex", g.n, vertex_transition), ("edge", 2 * g.m, edge_transition)]
-    if prof.min_degree < 2:
-        nb_omitted = "graph has a vertex of degree < 2"
-    elif prof.is_cycle:
-        nb_omitted = "graph is a cycle: the non-backtracking walk is reducible"
-    else:
+    nb_omitted = nb_walk_defect(g)
+    if nb_omitted is None:
         walks.append(("non-backtracking", 2 * g.m, nb_transition))
 
     routes: dict[str, dict[str, Scalar]] = {}

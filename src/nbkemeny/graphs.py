@@ -122,16 +122,7 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     -------
     Graph
     """
-    norm = []
-    for u, v in pairs:
-        if u == v:
-            raise GraphError(f"loop at vertex {u} not allowed")
-        norm.append((u, v) if u < v else (v, u))
-    norm_t = tuple(sorted(norm))
-    for a, b in zip(norm_t, norm_t[1:]):
-        if a == b:
-            raise GraphError(f"duplicate edge {a}")
-    return Graph(n, norm_t)
+    return Graph(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs)))
 
 
 @dataclass(frozen=True)

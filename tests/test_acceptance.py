@@ -140,7 +140,7 @@ def small_connected_corpus():
               from_edge_list(3, [(0, 1), (1, 2)]),
               from_edge_list(3, [(0, 1), (1, 2), (0, 2)])]
     for n in range(4, 8):
-        corpus.extend(enumerate_graphs(n, min_degree=0, exclude_cycles=False))
+        corpus.extend(enumerate_graphs(n))
     return corpus
 
 
@@ -177,8 +177,8 @@ def test_route_agreement():
 def regular_census():
     rows = []
     for n in range(4, 9):
-        for g in enumerate_graphs(n, min_degree=3):
-            if len(set(g.degrees)) == 1:
+        for g in enumerate_graphs(n):
+            if min(g.degrees) >= 3 and len(set(g.degrees)) == 1:
                 ke = float_kemeny(g, "edge")
                 knb = float_kemeny(g, "non-backtracking")
                 rows.append((canonical_graph6(g), g.degrees[0], ke, knb))

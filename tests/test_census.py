@@ -29,6 +29,7 @@ from nbkemeny import (
     gen_path,
     kemeny_mfpt,
     kemeny_spectrum,
+    nb_walk_defect,
     sweep_csv,
     sweep_skipped,
     to_graph6,
@@ -157,13 +158,13 @@ class TestEnumeration:
         atlas = nx.graph_atlas_g()
         want = sum(1 for h in atlas
                    if h.number_of_nodes() == n and nx.is_connected(h))
-        got = len(list(enumerate_graphs(n, min_degree=0, exclude_cycles=False)))
+        got = len(list(enumerate_graphs(n)))
         assert got == want == self.CONNECTED[n]
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_representatives_match_unpruned_enumeration(self, n):
         # orbit pruning keeps every class's first-seen representative
-        got = [g.edges for g in enumerate_graphs(n, 0, False)]
+        got = [g.edges for g in enumerate_graphs(n)]
         want = [g.edges for g in reference.enumerate_graphs(n, 0, False)]
         assert got == want
         assert len(got) == self.CONNECTED[n]
@@ -171,20 +172,22 @@ class TestEnumeration:
     def test_representatives_pinned_at_n8(self):
         # the unpruned enumerator's sequence, too slow to rerun here; the
         # count is OEIS A001349
-        got = [g.edges for g in enumerate_graphs(8, 0, False)]
+        got = [g.edges for g in enumerate_graphs(8)]
         assert len(got) == self.CONNECTED[8]
         assert hashlib.sha256(repr(got).encode()).hexdigest() == (
             "f2cafb72c34b1fccf4e8dcec751a6a18d1a8e04d65c50753318c160769a629a4")
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_corpus_counts(self, n):
-        graphs = list(enumerate_graphs(n))
+        graphs = [g for g in enumerate_graphs(n) if nb_walk_defect(g) is None]
         assert len(graphs) == self.CORPUS[n]
 
     def test_yields_are_filtered_and_distinct(self):
         seen = set()
         for g in enumerate_graphs(5):
             assert g.is_connected()
+            if nb_walk_defect(g) is not None:
+                continue
             assert min(g.degrees) >= 2
             assert set(g.degrees) != {2}
             seen.add(canonical_graph6(g))
@@ -252,8 +255,9 @@ class TestCensus:
         assert len(result.records) == 2
         assert len(result.skipped) == 4
         reasons = {reason for _, reason in result.skipped}
-        assert "minimum degree below 2" in reasons
-        assert "graph is a cycle" in reasons
+        assert ("vertex 0 has degree 1; the non-backtracking walk needs "
+                "min degree >= 2") in reasons
+        assert "graph is a cycle; the non-backtracking walk is reducible" in reasons
         assert "not connected" in reasons
 
     def test_csv_shape(self):

@@ -22,9 +22,15 @@ from nbkemeny import (
     gen_path,
     incidence_operators,
     nb_adjacency,
+    census_nb_vs_edge,
+    enumerate_graphs,
+    kemeny_triple,
     nb_transition,
+    nb_walk_defect,
+    to_graph6,
     vertex_transition,
 )
+from nbkemeny import census
 
 
 @pytest.fixture(params=["K4", "K23", "barbell", "petersen"])
@@ -121,6 +127,34 @@ class TestValidation:
     def test_nb_rejects_cycles(self):
         with pytest.raises(ChainError):
             nb_transition(gen_cycle(5))
+
+    @pytest.mark.parametrize("source", [4, 5, 6, "named"])
+    def test_consumers_agree(self, source):
+        # the builder, kemeny_triple and the census all take the walk's
+        # preconditions, and their wording, from nb_walk_defect
+        if source == "named":
+            graphs = [gen_path(4), gen_cycle(5), from_edge_list(
+                6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]
+        else:
+            graphs = list(enumerate_graphs(source))
+        for g in graphs:
+            defect = nb_walk_defect(g)
+            try:
+                nb_transition(g)
+            except ChainError as exc:
+                assert str(exc) == defect
+            else:
+                assert defect is None
+            if g.is_connected():
+                assert kemeny_triple(g, mode="float").nb_omitted == defect
+            reason = census._qualify(g)
+            assert reason == (defect if g.is_connected() else "not connected")
+            result = census_nb_vs_edge([g])
+            if reason is None:
+                assert len(result.records) == 1 and result.skipped == ()
+            else:
+                assert result.records == ()
+                assert result.skipped == ((to_graph6(g), reason),)
 
     def test_isolated_vertex_rejected(self):
         g = from_edge_list(3, [(0, 1)])

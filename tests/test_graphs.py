@@ -29,11 +29,11 @@ from conftest import random_connected
 
 class TestGraph:
     def test_rejects_loop(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"loop at vertex 0 not allowed"):
             from_edge_list(3, [(0, 0)])
 
     def test_rejects_duplicate(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
             from_edge_list(3, [(0, 1), (1, 0)])
 
     def test_rejects_out_of_range(self):
