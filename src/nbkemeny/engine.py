@@ -3,8 +3,10 @@
 Routes
 ------
 mfpt       definition: K = sum_j m(0, j) pi_j, all m(i, j) from one inverse
-           Z = (I - P + 1 pi^T)^{-1}, checked by the first-step equations
-           (I - P) Z = I - 1 pi^T
+           G = (I - P + 1 e_N^T)^{-1}, a generalized inverse of I - P with
+           the passage times of Kemeny and Snell's Z = (I - P + 1 pi^T)^{-1}
+           (Hunter 1982), checked by the first-step equations
+           (I - P) G = I - 1 pi^T
 spectrum   K = sum over non-unit eigenvalues of 1/(1 - rho)
 charpoly   K = p''(1) / (2 p'(1)) from the characteristic polynomial, as
            tr((I - P22)^{-1}) for the block P22 = P[1:, 1:] - P[0, 1:] that
@@ -134,24 +136,40 @@ def stationary(P: ChainMatrix) -> np.ndarray:
 
 
 def _fundamental(P: ChainMatrix) -> tuple[np.ndarray, Scalar, np.ndarray]:
-    """(pi, s, X): the stationary vector and the fundamental matrix
-    Z = (I - P + 1 pi^T)^{-1} of Kemeny and Snell as X = s Z, from one
-    inverse (see ``_inverse_scaled``)."""
+    """(pi, s, X): the stationary vector and a generalized inverse
+    G = (I - P + 1 e_N^T)^{-1} of I - P as X = s G, from one inverse (see
+    ``_inverse_scaled``).
+
+    For any u with u^T 1 = 1, (I - P + 1 u^T)^{-1} = Z - 1 (u - pi)^T Z,
+    where Z = (I - P + 1 pi^T)^{-1} is the fundamental matrix of Kemeny and
+    Snell (J. J. Hunter, "Generalized inverses and their application to
+    applied probability problems", Linear Algebra Appl. 45, 1982).  So
+    G = Z + 1 w^T: each column moves by a constant, which cancels in the
+    passage times g_jj - g_ij, and G 1 = 1 and tr G = tr Z as for Z.
+    Unlike Z, G's matrix does not contain pi, whose entries on an arc walk
+    are 1/(2m): its rows clear by P's row denominators alone, so an exact
+    inverse stays on small integers (s has 49 bits on CB(2,15,15)'s edge
+    walk, where Z's has 362).  The ones go in state N's column, not state
+    0's: the charpoly route deflates at state 0, and the two routes share no
+    block.  pi is still computed, and verified by ``stationary``: the
+    passage times divide by it.
+    """
     pi = stationary(P)
     A = -P.data
-    A += pi
+    A[:, -1] += 1
     A[np.diag_indices(P.order)] += 1
     s, X = _inverse_scaled(A, "chain is reducible: fundamental matrix is singular")
     return pi, s, X
 
 
 def _first_step_residual(P: ChainMatrix, pi: np.ndarray, s: Scalar, X: np.ndarray) -> float:
-    """max |(I - P) Z - (I - 1 pi^T)| for Z = X / s, with P X taken over P's
+    """max |(I - P) G - (I - 1 pi^T)| for G = X / s, with P X taken over P's
     nonzeros.
 
     The equations hold only when pi is the stationary vector, and they fix
-    (1 diag(Z)^T - Z) diag(pi)^{-1} as the mean first-passage matrix: the
-    kernel of I - P is span 1, and Z + 1 w^T gives the same matrix.  Row i
+    (1 diag(G)^T - G) diag(pi)^{-1} as the mean first-passage matrix: the
+    kernel of I - P is span 1, and G + 1 w^T gives the same matrix, so the
+    check reads the same for G as for Kemeny and Snell's Z.  Row i
     is computed times e_i q s, where e_i and q clear the denominators of P's
     row i and of pi, so in exact mode it runs over integers; in float mode
     e = q = 1 and s = 1.0.
@@ -169,8 +187,9 @@ def _first_step_residual(P: ChainMatrix, pi: np.ndarray, s: Scalar, X: np.ndarra
 
 
 def mfpt(P: ChainMatrix) -> np.ndarray:
-    """Mean first-passage time matrix from the fundamental matrix,
-    m(i, j) = (z_jj - z_ij) / pi_j; the diagonal is zero."""
+    """Mean first-passage time matrix from the generalized inverse G of
+    ``_fundamental``, m(i, j) = (g_jj - g_ij) / pi_j; the diagonal is zero.
+    These are the times Kemeny and Snell's Z gives: G - Z = 1 w^T."""
     pi, s, X = _fundamental(P)
     return (np.diag(X) - X) / (s * pi)
 
@@ -180,13 +199,14 @@ def kemeny_mfpt(P: ChainMatrix) -> tuple[Scalar, float]:
 
     Returns (K, residual) where K = sum_j m(0, j) pi_j, from row 0 of the
     passage-time matrix, and residual is the max-abs residual of the
-    first-step equations (I - P) Z = I - 1 pi^T (zero in theory).  K itself
-    is tr(Z) - 1 for any pi that sums to 1, so only the residual sees a
-    wrong pi.  In float mode it also measures the error of the inverse.  In
-    exact mode Z is an exact inverse, so the residual reduces to
-    1 pi^T (I - P) Z: it is zero exactly when pi^T P = pi^T, which
-    ``stationary`` has already verified with bound 0, and it adds nothing
-    to that verification.
+    first-step equations (I - P) G = I - 1 pi^T (zero in theory).  K itself
+    is tr(G) - 1 whatever pi is, since G 1 = 1 and G does not depend on pi,
+    so only the residual sees a wrong pi.  In float mode it also measures
+    the error of the inverse.  In exact mode G is an exact inverse, so
+    (I - P) G = I - 1 e_N^T G, and e_N^T G is the true stationary vector:
+    the residual is the largest entry of |pi - e_N^T G|, zero exactly when
+    pi is stationary, which ``stationary`` has already verified with
+    bound 0, and it adds nothing to that verification.
     """
     pi, s, X = _fundamental(P)
     m0 = (np.diag(X) - X[0]) / (s * pi)

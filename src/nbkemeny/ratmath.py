@@ -63,7 +63,9 @@ def _solve(rows: list[list[Scalar]], n: int, what: str) -> tuple[int, list[list[
 
     Returns (d, Y) with X = Y / d.  After elimination d * X is integral, d
     being the last pivot, so back-substitution runs on it over integers and
-    every division is exact.
+    every division is exact.  It works on whole rows: row i of d X is d
+    times row i of the eliminated B, less the rows of d X below it scaled
+    by row i's nonzero entries of A, divided by its pivot.
     """
     _, M = clear_row_denominators(rows)
     if not _bareiss(M, n):
@@ -72,8 +74,12 @@ def _solve(rows: list[list[Scalar]], n: int, what: str) -> tuple[int, list[list[
     X: list[list[int]] = [[]] * n
     for i in range(n - 1, -1, -1):
         Mi = M[i]
-        X[i] = [(det * Mi[c] - sum(Mi[j] * X[j][c - n] for j in range(i + 1, n))) // Mi[i]
-                for c in range(n, len(Mi))]
+        acc = [det * b for b in Mi[n:]]
+        for j in range(i + 1, n):
+            mij = Mi[j]
+            if mij:
+                acc = [a - mij * x for a, x in zip(acc, X[j])]
+        X[i] = [a // Mi[i] for a in acc]
     return det, X
 
 

@@ -4,7 +4,7 @@ independent per-target passage-time oracle for Kemeny values.
 The oracle computes K = sum_j m(0, j) pi_j with one masked linear solve per
 target state j and pi from an eigenvector of P^T, on chains built from raw
 adjacency dictionaries, so it shares no route with the engine (which uses
-one fundamental-matrix inverse, eigenvalues, the deflated characteristic
+one generalized inverse of I - P, eigenvalues, the deflated characteristic
 polynomial, and resistances).
 """
 

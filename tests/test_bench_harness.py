@@ -1,8 +1,9 @@
-"""The bench harness's tracer still binds to the package.
+"""The bench harness still binds to the package, and its answers are right.
 
-``bench/spans.py`` wraps package functions by name.  Without this test a
+``bench/spans.py`` wraps package functions by name.  Without these tests a
 renamed or re-signed traced function would break only traced bench runs
-(``bench/run.py --trace 1``), not the test suite.
+(``bench/run.py --trace 1``), and a wrong value on a bench graph would fail
+only the bench's own reference check, not the test suite.
 """
 
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nbkemeny
-from nbkemeny import census, chains, engine, gen_complete
+from nbkemeny import census, chains, engine, gen_complete, kemeny_triple
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -20,6 +21,14 @@ def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
     return spans
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpus
+    import reference
+    return corpus, reference
 
 
 def test_tracer_installs_counts_and_removes(spans):
@@ -39,3 +48,17 @@ def test_tracer_installs_counts_and_removes(spans):
     assert nbkemeny.kemeny_triple is engine.kemeny_triple
     assert census.enumerate_graphs is nbkemeny.enumerate_graphs
     assert chains.MATRIX_BUILDERS["non-backtracking"] is chains.nb_transition
+
+
+# the slots of round 0 small enough for the test suite: compute-exact's 18
+# at 2m <= 20 and compute-float's first two (2m = 130 and 150)
+SLOTS = {"compute-exact": ("exact", 18), "compute-float": ("float", 2)}
+
+
+@pytest.mark.parametrize("workload", list(SLOTS))
+def test_bench_values_match_reference(bench_modules, workload):
+    corpus, reference = bench_modules
+    mode, slots = SLOTS[workload]
+    for entry in corpus.build_rounds(workload, 7, 1)[0][:slots]:
+        report = kemeny_triple(entry.graph, mode=mode)
+        assert reference.mismatches(report.to_json(), reference.expected(entry)) == [], entry.label

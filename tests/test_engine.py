@@ -42,7 +42,7 @@ from nbkemeny import (
     stationary,
 )
 from nbkemeny import engine
-from nbkemeny.ratmath import charpoly_pencil
+from nbkemeny.ratmath import charpoly_pencil, exact_inverse
 
 from conftest import (
     oracle_edge_P,
@@ -176,6 +176,45 @@ class TestMfpt:
         assert rep.kappa_spread["vertex"] == pytest.approx(1 / 32, rel=1e-9)
         assert all(r < 1e-12 for r in rep.residuals.values())
         assert rep.identity_residual < 1e-12
+
+
+class TestGeneralizedInverse:
+    """The mfpt route inverts G = (I - P + 1 e_N^T)^{-1}, not Kemeny and
+    Snell's Z = (I - P + 1 pi^T)^{-1}; G = Z + 1 w^T gives the same passage
+    times with far smaller integers."""
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge", "non-backtracking"])
+    @pytest.mark.parametrize("name", list(FROZEN))
+    def test_exact_passage_times_match_kemeny_snell(self, name, kind, named_graphs):
+        P = build_matrix(named_graphs[name], kind, exact=True)
+        pi = stationary(P)
+        A = np.eye(P.order, dtype=object) - P.data + pi
+        Z = np.array(exact_inverse(A.tolist()), dtype=object)
+        M = mfpt(P)
+        assert M.tolist() == ((np.diag(Z) - Z) / pi).tolist()
+        assert kemeny_mfpt(P)[1] == 0
+
+    @pytest.mark.parametrize("kind", ["edge", "non-backtracking"])
+    def test_exact_scale_stays_small(self, kind):
+        # the Kemeny-Snell form gives 362 and 372 bits here: pi = 1/62
+        # scales every cleared row by 62
+        P = build_matrix(gen_cycle_barbell(2, 15, 15), kind, exact=True)
+        _, s, _ = engine._fundamental(P)
+        assert abs(s).bit_length() <= 64
+
+    @pytest.mark.parametrize("k,a,b", [(100, 4, 4), (2, 150, 150)])
+    def test_float_mfpt_matches_barbell_closed_form(self, k, a, b):
+        # the Kemeny-Snell form was 7.8e-10 and 3.3e-9 off on the edge walk,
+        # with identity gaps of 6.3e-10 and 5.9e-9
+        g = gen_cycle_barbell(k, a, b)
+        kv, ke, _ = barbell_kemeny(BarbellParams(k, a, b))
+        rep = kemeny_triple(g, mode="float")
+        assert rep.routes["vertex"]["mfpt"] == pytest.approx(float(kv), abs=5e-10)
+        assert rep.routes["edge"]["mfpt"] == pytest.approx(float(ke), abs=5e-10)
+        assert rep.identity_residual <= 5e-10
+        # still failed, on the spectrum route's gap of about 1e-8
+        assert rep.failed
+        assert abs(rep.routes["edge"]["spectrum"] - float(ke)) > rep.tolerance
 
 
 class TestFrozenValues:

@@ -6,7 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ratmath_reference as reference
+from conftest import BIREG23_EDGES, CUBE_EDGES, PETERSEN_EDGES
+from nbkemeny import (
+    build_matrix,
+    from_edge_list,
+    gen_complete,
+    gen_complete_bipartite,
+    gen_cycle_barbell,
+    gen_necklace,
+    stationary,
+)
 from nbkemeny.ratmath import (
+    _solve,
     bareiss_det,
     charpoly_pencil,
     clear_row_denominators,
@@ -102,6 +114,71 @@ class TestDeterminant:
 
     def test_empty_matrix(self):
         assert bareiss_det([]) == 1
+
+
+def named_graphs():
+    return [gen_complete(4), gen_complete(5), gen_complete_bipartite(3, 3),
+            gen_complete_bipartite(2, 3), from_edge_list(10, PETERSEN_EDGES),
+            from_edge_list(8, CUBE_EDGES), gen_necklace(2), gen_cycle_barbell(2, 3, 3),
+            gen_cycle_barbell(3, 4, 6), from_edge_list(10, BIREG23_EDGES)]
+
+
+def walk_matrices():
+    """The matrices the engine hands the kernel: for every named graph and
+    walk, I - P + 1 e_N^T (mfpt route), I - P + 1 pi^T (its Kemeny-Snell
+    form, with larger integers) and I - (P[1:, 1:] - P[0, 1:]) (charpoly)."""
+    for g in named_graphs():
+        for kind in ("vertex", "edge", "non-backtracking"):
+            P = build_matrix(g, kind, exact=True)
+            I = np.eye(P.order, dtype=object)
+            generalized = I - P.data
+            generalized[:, -1] += 1
+            yield generalized.tolist()
+            yield (I - P.data + stationary(P)).tolist()
+            yield (I[1:, 1:] - (P.data[1:, 1:] - P.data[0, 1:])).tolist()
+
+
+class TestAgainstReference:
+    """The row-wise kernel returns the integers the entry-wise one did."""
+
+    def cases(self):
+        rng = random.Random(20261018)
+        yield from nonsingular_cases(rng, range(1, 13))
+        yield from walk_matrices()
+
+    def test_inverse_scaled(self):
+        for A in self.cases():
+            assert exact_inverse_scaled(A) == reference.exact_inverse_scaled(A)
+
+    def test_solve(self):
+        rng = random.Random(7)
+        for A in self.cases():
+            n = len(A)
+            rows = [[*r, rng.randint(-9, 9)] for r in A]
+            d, Y = reference._solve([r[:] for r in rows], n, "system")
+            assert _solve([r[:] for r in rows], n, "system") == (d, Y)
+            assert exact_solve(A, [r[-1] for r in rows]) == [Fraction(y[0], d) for y in Y]
+
+    def test_det(self):
+        rng = random.Random(5)
+        for n in range(1, 13):
+            A = random_int_matrix(n, rng, -3, 3)
+            assert bareiss_det([r[:] for r in A]) == reference.bareiss_det([r[:] for r in A])
+        for A in self.cases():
+            _, F = clear_row_denominators(A)
+            assert bareiss_det([r[:] for r in F]) == reference.bareiss_det([r[:] for r in F])
+
+    def test_singular_raises_in_both(self):
+        # I - P itself is singular: its rows sum to zero
+        P = build_matrix(gen_complete_bipartite(2, 3), "edge", exact=True).data
+        singular = [[[1, 2], [2, 4]], [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+                    (np.eye(len(P), dtype=object) - P).tolist()]
+        for A in singular:
+            for kernel in (exact_inverse_scaled, reference.exact_inverse_scaled):
+                with pytest.raises(ValueError):
+                    kernel(A)
+            _, F = clear_row_denominators(A)
+            assert bareiss_det([r[:] for r in F]) == reference.bareiss_det([r[:] for r in F]) == 0
 
 
 class TestPencil:
