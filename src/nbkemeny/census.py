@@ -21,13 +21,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .chains import build_matrix, nb_walk_defect
-from .engine import kemeny_spectrum
+from .engine import DEFAULT_TOL, agree, kemeny_spectrum
 from .formulas import barbell_kemeny
 from .graphs import (
     BarbellParams, Graph, GraphError, check_graph6_order, parse_graph6, to_graph6,
 )
-
-EQUALITY_TOL = 1e-9
 
 
 class CensusError(ValueError):
@@ -258,10 +256,9 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 class CensusRecord:
     """One graph's comparison outcome.
 
-    diff_sign is 'nb_smaller' (K_nb - K_e < -1e-9), 'equal'
-    (|K_nb - K_e| <= 1e-9) or 'nb_larger_or_equal', which means
-    K_nb - K_e > 1e-9: ties are 'equal'.  The label keeps its name so
-    that census output bytes stay the same.
+    diff_sign is 'equal' when ``engine.agree(K_nb, K_e, DEFAULT_TOL)``
+    (|K_nb - K_e| <= 1e-9 below K = 256), else 'nb_smaller' or
+    'nb_larger_or_equal' (K_nb > K_e), a name kept for stable output bytes.
     """
 
     graph_id: str
@@ -281,10 +278,9 @@ class CensusResult(NamedTuple):
 def _evaluate(g: Graph) -> CensusRecord:
     k_e = kemeny_spectrum(build_matrix(g, "edge", exact=False))
     k_nb = kemeny_spectrum(build_matrix(g, "non-backtracking", exact=False))
-    diff = k_nb - k_e
-    if abs(diff) <= EQUALITY_TOL:
+    if agree(k_nb, k_e, DEFAULT_TOL):
         sign = "equal"
-    elif diff > 0:
+    elif k_nb > k_e:
         sign = "nb_larger_or_equal"
     else:
         sign = "nb_smaller"
@@ -299,7 +295,7 @@ def _qualify(g: Graph) -> Optional[str]:
 
 def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     """Count graphs whose non-backtracking Kemeny's constant is at least
-    the edge-space one (within 1e-9).
+    the edge-space one, or ties with it by ``engine.agree`` (see CensusRecord).
 
     ``source`` is either a vertex count (built-in exhaustive enumeration,
     4 <= n <= 8) or an iterable of graph6 strings / Graph objects.  Only

@@ -127,8 +127,8 @@ def _cmd_compute(args) -> int:
         out = "\n".join(lines)
     print(out)
     if report.failed:
-        print(f"cross-check failure: a residual exceeds tolerance {args.tol}",
-              file=sys.stderr)
+        print(f"cross-check failure: exact values differ or floats differ by more "
+              f"than tol*max(1,K/256)^2 with tol {args.tol}", file=sys.stderr)
         return 2
     return 0
 
@@ -343,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="cross-validated Kemeny report")
     graph_and_mode(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="cross-check tolerance, finite and >= 0 (default 1e-9)")
+    p.add_argument("--tol", type=_tolerance, default=engine.DEFAULT_TOL,
+                   help="cross-check tolerance, finite and >= 0 (default 1e-9), "
+                        "scaled to tol*max(1,K/256)^2; exact values must be equal")
     output_and_input(p)
 
     p = sub.add_parser("matrices", help="dump a walk matrix")

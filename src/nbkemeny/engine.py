@@ -16,7 +16,7 @@ resistance K = d^T R d / (4m) via the Laplacian pseudoinverse (vertex walk)
 The three walks of a graph (vertex, edge-space, non-backtracking) are tied
 together by ``kemeny_triple``, which runs every applicable route per walk,
 records disagreements, and checks the edge/vertex shift identity
-K_e = K_v + 2m - n.
+K_e = K_v + 2m - n, every check by one rule, ``agree``.
 
 Scalar mode
 -----------
@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -55,6 +56,9 @@ Scalar = Union[Fraction, float]
 
 # Largest walk, in states, that mode 'auto' computes in exact rationals.
 EXACT_STATE_CAP = 64
+
+# tol of kemeny_triple, compute --tol and the census tie (see agree)
+DEFAULT_TOL = 1e-9
 
 
 class EngineError(RuntimeError):
@@ -224,7 +228,7 @@ class Spectrum:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        if any(abs(v) > 1 + 1e-9 for v in self.values):
+        if any(abs(v) > 1 + UNIT_TOL for v in self.values):
             raise EngineError("spectral radius exceeds 1 beyond tolerance")
 
     @classmethod
@@ -245,7 +249,7 @@ class Spectrum:
         return cls(tuple(complex(v) for v in ev[order]))
 
 
-# spectrum route tolerances: see kemeny_spectrum
+# spectrum route tolerances: see kemeny_spectrum; UNIT_TOL also bounds Spectrum
 UNIT_TOL = 1e-9
 GAP_TOL = 1e-6
 IMAG_TOL = 1e-9
@@ -447,15 +451,21 @@ def _max_pairwise(vals: dict[str, Scalar]) -> float:
     return max(abs(a - b) for a in xs for b in xs)
 
 
-def _exact_disagree(vals: dict[str, Scalar]) -> bool:
-    """Whether two exact routes differ at all: a float cast could hide it."""
-    return len({v for v in vals.values() if isinstance(v, Fraction)}) > 1
+def agree(a: Scalar, b: Scalar, tol: float) -> bool:
+    """Two Fractions agree when equal, other pairs when |a - b| <= tol *
+    max(1, K/256)^2, K = min(|a|, |b|): float route gaps grow like eps K^2
+    (measured up to 12 eps K^2), 256 is where 64 eps K^2 reaches 1e-9, and
+    neither value can loosen its own bound."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    scale = max(1.0, float(min(abs(a), abs(b))) / 256)
+    return abs(a - b) <= tol * scale * scale
 
 
 def kemeny_triple(
     g: Graph,
     mode: str = "auto",
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> KemenyReport:
     """Compute and cross-validate the three Kemeny constants of a graph.
 
@@ -467,10 +477,10 @@ def kemeny_triple(
         Scalar mode; 'auto' uses exact rationals for walks with at most
         ``EXACT_STATE_CAP`` states and floats beyond.
     tol : float
-        Tolerance for route residuals and the shift identity; exceeding it
-        sets the ``failed`` flag, as does any gap between two exact routes.
-        Must be finite and >= 0 (ValueError otherwise): NaN or infinity
-        would let every residual pass.
+        Cross-check tolerance: ``failed`` is set unless ``agree`` holds for
+        every pair of route values within a walk, for K_e - (2m - n) against
+        K_v and for each first-step residual against 0.  Must be finite and
+        >= 0 (ValueError otherwise): NaN or infinity would pass every check.
 
     Returns
     -------
@@ -510,12 +520,10 @@ def kemeny_triple(
     # a Fraction minus a float is computed in float
     identity_residual = float(abs(k_edge - k_vertex - (2 * g.m - g.n)))
 
-    failed = (
-        any(r > tol for r in residuals.values())
-        or any(s > tol for s in spreads.values())
-        or identity_residual > tol
-        or any(_exact_disagree(vals) for vals in routes.values())
-    )
+    pairs = [pair for vals in routes.values() for pair in combinations(vals.values(), 2)]
+    pairs.append((k_edge - (2 * g.m - g.n), k_vertex))
+    pairs += [(spread, 0) for spread in spreads.values()]
+    failed = not all(agree(a, b, tol) for a, b in pairs)
     return KemenyReport(
         n=g.n,
         m=g.m,

@@ -16,7 +16,7 @@ determinants, a computation the route itself does not share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -124,15 +124,8 @@ def clear_row_denominators(
 ) -> tuple[list[int], list[list[int]]]:
     """Return (E, F) with E a positive integer diagonal and F = diag(E) @ P
     integer, i.e. P = diag(E)^{-1} F."""
-    E = []
-    F = []
-    for row in P:
-        l = 1
-        for x in row:
-            d = x.denominator if isinstance(x, Fraction) else 1
-            l = l * d // gcd(l, d)
-        E.append(l)
-        F.append([int(x * l) for x in row])
+    E = [lcm(*(x.denominator for x in row)) for row in P]
+    F = [[x.numerator * (l // x.denominator) for x in row] for l, row in zip(E, P)]
     return E, F
 
 

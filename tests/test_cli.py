@@ -158,6 +158,14 @@ class TestCompute:
         # the report itself is still printed for inspection
         assert json.loads(out)["failed"] is True
 
+    @pytest.mark.parametrize("spec", ["barbell:100,4,4", "barbell:2,150,150"])
+    def test_long_barbells_pass_crosscheck(self, capsys, spec):
+        # their float route gaps of about 1e-8 exceed tol but sit well
+        # inside tol * (K/256)^2
+        code, out, err = invoke(capsys, "compute", spec)
+        assert code == 0, err
+        assert json.loads(out)["failed"] is False
+
     def test_exact_route_gap_below_tol_fails_crosscheck(self, capsys, monkeypatch):
         charpoly = engine.kemeny_charpoly
         monkeypatch.setattr(engine, "kemeny_charpoly",

@@ -42,6 +42,7 @@ from nbkemeny import (
     stationary,
 )
 from nbkemeny import engine
+from nbkemeny.engine import agree
 from nbkemeny.ratmath import charpoly_pencil, exact_inverse
 
 from conftest import (
@@ -212,9 +213,26 @@ class TestGeneralizedInverse:
         assert rep.routes["vertex"]["mfpt"] == pytest.approx(float(kv), abs=5e-10)
         assert rep.routes["edge"]["mfpt"] == pytest.approx(float(ke), abs=5e-10)
         assert rep.identity_residual <= 5e-10
-        # still failed, on the spectrum route's gap of about 1e-8
-        assert rep.failed
+        # the spectrum route's gap of about 1e-8 exceeds tol, but not the
+        # bound tol * (K/256)^2 that ``agree`` scales it to
+        assert not rep.failed
         assert abs(rep.routes["edge"]["spectrum"] - float(ke)) > rep.tolerance
+
+    @pytest.mark.parametrize("k,a,b", [(100, 4, 4), (2, 150, 150)])
+    def test_relative_error_of_1e9_still_fails_long_barbells(self, k, a, b, monkeypatch):
+        # K_e is 3903 and 11714: bounds of 2.3e-7 and 2.1e-6 against
+        # perturbations of 3.9e-6 and 1.2e-5
+        charpoly = engine.kemeny_charpoly
+        monkeypatch.setattr(engine, "kemeny_charpoly", lambda P: charpoly(P) * (1 + 1e-9))
+        assert kemeny_triple(gen_cycle_barbell(k, a, b), mode="float").failed
+
+    def test_bound_is_tol_below_k_256(self, monkeypatch):
+        # every K of CB(3,4,6) is below 256, so the bound is tol itself
+        g = gen_cycle_barbell(3, 4, 6)
+        charpoly = engine.kemeny_charpoly
+        for shift, failed in ((2e-9, True), (5e-10, False)):
+            monkeypatch.setattr(engine, "kemeny_charpoly", lambda P: charpoly(P) + shift)
+            assert kemeny_triple(g, mode="float").failed is failed, shift
 
 
 class TestFrozenValues:
@@ -525,6 +543,28 @@ class TestTriple:
         rep = kemeny_triple(gen_cycle_barbell(2, 3, 3), mode="exact")
         assert rep.failed
         assert all(r <= rep.tolerance for r in rep.residuals.values())
+
+    def test_shift_identity_gap_fails(self, monkeypatch):
+        # every walk's routes agree, but the edge walk is another graph's
+        edge = engine.edge_transition
+        other = gen_complete_bipartite(3, 3)
+        monkeypatch.setattr(engine, "edge_transition", lambda g, exact: edge(other, exact=exact))
+        rep = kemeny_triple(gen_complete(4), mode="exact")
+        assert rep.failed and rep.identity_residual > 1
+        assert all(r <= rep.tolerance for r in rep.residuals.values())
+
+    def test_agree(self):
+        assert agree(F(1, 3), F(1, 3), 0)
+        assert not agree(F(1, 3), F(1, 3) + F(1, 10**30), 1.0)
+        assert agree(1.0, 1.0 + 0.9e-9, 1e-9)
+        assert not agree(1.0, 1.0 + 1.1e-9, 1e-9)
+        # at K = 512 the bound is 4 tol; the smaller magnitude sets K, so
+        # 1e6 cannot widen its own bound against 0
+        assert agree(512.0, 512.0 + 3.5e-9, 1e-9)
+        assert not agree(512.0, 512.0 + 4.5e-9, 1e-9)
+        assert not agree(512.0 - 4.5e-9, 512.0, 1e-9)
+        assert not agree(0.0, 1e6, 1.0)
+        assert not agree(float("nan"), 1.0, 1.0)
 
     def test_json_round_trip(self):
         import json
