@@ -24,7 +24,7 @@ from .chains import build_matrix, nb_walk_defect
 from .engine import DEFAULT_TOL, agree, kemeny_spectrum
 from .formulas import barbell_kemeny
 from .graphs import (
-    BarbellParams, Graph, GraphError, check_graph6_order, parse_graph6, to_graph6,
+    BarbellParams, Graph, GraphError, parse_graph6, to_graph6,
 )
 
 
@@ -170,11 +170,24 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph(g.n, tuple(edges))
 
 
+# Largest graph the canonical search takes: it has no automorphism pruning,
+# and the 6-cube (n = 64) alone would take about 20 s.
+CANONICAL_MAX_N = 62
+
+
+def _canonical_defect(g: Graph) -> Optional[str]:
+    if g.n > CANONICAL_MAX_N:
+        return f"canonical form limited to n <= {CANONICAL_MAX_N}, got n={g.n}"
+    return None
+
+
 def canonical_graph6(g: Graph) -> str:
     """graph6 encoding of the canonical form; equal strings mean
-    isomorphic graphs.  A graph too large to encode is refused before the
-    search."""
-    check_graph6_order(g.n)
+    isomorphic graphs.  A graph above ``CANONICAL_MAX_N`` vertices is
+    refused before the search."""
+    defect = _canonical_defect(g)
+    if defect is not None:
+        raise GraphError(defect)
     return to_graph6(canonical_graph(g))
 
 
@@ -290,7 +303,7 @@ def _evaluate(g: Graph) -> CensusRecord:
 def _qualify(g: Graph) -> Optional[str]:
     if not g.is_connected():
         return "not connected"
-    return nb_walk_defect(g)
+    return nb_walk_defect(g) or _canonical_defect(g)
 
 
 def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
@@ -301,8 +314,8 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     4 <= n <= 8) or an iterable of graph6 strings / Graph objects.  Only
     connected graphs without a ``chains.nb_walk_defect`` are counted.
     Other stream entries are tallied in ``skipped`` as (entry, reason)
-    pairs: "not connected", the defect, or the parse error.  Records are
-    ordered by (n, m, graph_id).
+    pairs: "not connected", the defect, the canonical form's size limit or
+    the parse error.  Records are ordered by (n, m, graph_id).
     """
     records = []
     skipped = []

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
+from . import ratmath
 from .graphs import Graph
 
 TRANSITION_KINDS = ("vertex", "edge", "non-backtracking")
@@ -72,7 +74,7 @@ class ChainMatrix:
     """A named dense matrix over either exact or float scalars.
 
     data is float64 for float mode, object dtype (Fraction/int) for exact
-    mode.  Transition kinds are validated row-stochastic at construction.
+    mode.  Transition kinds are validated row-stochastic, F 1 = e, on build.
     """
 
     kind: str
@@ -83,10 +85,16 @@ class ChainMatrix:
             r, c = self.data.shape
             if r != c:
                 raise ChainError(f"{self.kind} transition matrix must be square")
+            e, F = self.rows
             tol = 0 if self.exact else 1e-12
-            bad = [i for i, s in enumerate(self.data.sum(axis=1)) if abs(s - 1) > tol]
-            if bad:
+            bad = np.flatnonzero(abs(F.sum(axis=1) - e) > tol * e)
+            if bad.size:
                 raise ChainError(f"row {bad[0]} of {self.kind} matrix is not stochastic")
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray | int, np.ndarray]:
+        """``integer_rows`` of data, derived once."""
+        return integer_rows(self.data)
 
     @property
     def exact(self) -> bool:
@@ -102,6 +110,15 @@ class ChainMatrix:
 
     def as_float(self) -> np.ndarray:
         return self.data.astype(float, copy=False)
+
+
+def integer_rows(M: np.ndarray) -> tuple[np.ndarray | int, np.ndarray]:
+    """(e, F) with M = diag(e)^{-1} F: e the row denominators and F integral
+    in exact mode, e = 1 and F = M in float mode."""
+    if M.dtype != object:
+        return 1, M
+    e, F = ratmath.clear_row_denominators(M.tolist())
+    return np.array(e, dtype=object), np.array(F, dtype=object)
 
 
 def _zeros(rows: int, cols: int, exact: bool) -> np.ndarray:

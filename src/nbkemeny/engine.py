@@ -21,11 +21,13 @@ K_e = K_v + 2m - n, every check by one rule, ``agree``.
 Scalar mode
 -----------
 A chain's dtype is its scalar mode: object arrays hold exact ints and
-Fractions, float64 arrays floats.  Each route has one body for both; linear
-algebra goes through one solve dispatch, ``_solve`` (``ratmath``'s exact
-kernels or ``np.linalg``), or its scaled inverse ``_inverse_scaled``, which
-keeps an exact inverse integral.  A comparison's bound is 0 in exact mode,
-so one test serves both.  Routes return Fractions or builtin floats.
+Fractions, float64 arrays floats.  Each route has one body for both;
+``stationary`` and the first-step residual read a chain's integer rows
+(``ChainMatrix.rows``), and linear algebra goes through one solve
+dispatch, ``_solve`` (``ratmath``'s exact kernels or ``np.linalg``), or
+its scaled inverse ``_inverse_scaled``, which keeps an exact inverse
+integral.  A comparison's bound is 0 in exact mode, so one test serves
+both.  Routes return Fractions or builtin floats.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .chains import (
     adjacency_matrix,
     degree_matrix,
     edge_transition,
+    integer_rows,
     nb_transition,
     nb_walk_defect,
     vertex_transition,
@@ -102,16 +105,6 @@ def _inverse_scaled(A: np.ndarray, singular: str) -> tuple[Scalar, np.ndarray]:
     return d, np.array(Y, dtype=object)
 
 
-def _cleared_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e, F) with F = diag(e) M, in the scalar mode of M: in exact mode e_i
-    is the least common denominator of row i, so F is integral; in float
-    mode e = 1 and F = M."""
-    if M.dtype != object:
-        return np.ones(len(M), dtype=int), M
-    e, F = ratmath.clear_row_denominators(M.tolist())
-    return np.array(e, dtype=object), np.array(F, dtype=object)
-
-
 def _scalar(x) -> Scalar:
     """A route's result as a builtin: numpy floats become float, Fractions
     stay Fractions."""
@@ -126,17 +119,21 @@ def stationary(P: ChainMatrix) -> np.ndarray:
 
     Replaces one balance equation with the normalization sum(pi) = 1 and
     verifies the result; a reducible chain surfaces as a singular system or
-    a failed verification.
+    a failed verification.  Both read P's rows (e, F) and y = pi / e:
+    (diag(e) - F^T) y = 0, checked as F^T q y = e q y with q clearing y, over
+    ints with bound 0 in exact mode (e = q = 1 and bound 1e-10 in float).
     """
     N = P.order
-    I = np.eye(N, dtype=P.data.dtype)
-    A = I - P.data.T
-    A[N - 1] = 1
-    pi = _solve(A, I[N - 1], "chain is reducible: stationary system is singular")
+    e, F = P.rows
+    I = np.eye(N, dtype=F.dtype)
+    A = I * e - F.T
+    A[N - 1] = e
+    y = _solve(A, I[N - 1], "chain is reducible: stationary system is singular")
+    _, (qy,) = integer_rows(y[None])
     tol = 0 if P.exact else 1e-10
-    if np.max(np.abs(P.data.T @ pi - pi)) > tol or np.min(pi) <= 0:
+    if np.max(np.abs(F.T @ qy - e * qy)) > tol or np.min(y) <= 0:
         raise EngineError("chain is reducible: stationary verification failed")
-    return pi
+    return y * e
 
 
 def _fundamental(P: ChainMatrix) -> tuple[np.ndarray, Scalar, np.ndarray]:
@@ -173,16 +170,15 @@ def _first_step_residual(P: ChainMatrix, pi: np.ndarray, s: Scalar, X: np.ndarra
     The equations hold only when pi is the stationary vector, and they fix
     (1 diag(G)^T - G) diag(pi)^{-1} as the mean first-passage matrix: the
     kernel of I - P is span 1, and G + 1 w^T gives the same matrix, so the
-    check reads the same for G as for Kemeny and Snell's Z.  Row i
-    is computed times e_i q s, where e_i and q clear the denominators of P's
-    row i and of pi, so in exact mode it runs over integers; in float mode
-    e = q = 1 and s = 1.0.
+    check reads the same for G as for Kemeny and Snell's Z.  Row i is
+    computed times e_i q s, with (e, F) P's rows and q clearing pi, so in
+    exact mode it runs over integers; in float mode e = q = 1 and s = 1.0.
     """
-    e, F = _cleared_rows(P.data)
-    (q,), (qpi,) = _cleared_rows(pi[None])
+    e, F = P.rows
+    q, (qpi,) = integer_rows(pi[None])
     T = X * q
     T += s * qpi
-    T *= e[:, None]
+    T *= np.reshape(e, (-1, 1))
     T[np.diag_indices(P.order)] -= e * (q * s)
     for i, row in enumerate(F):
         nz = np.flatnonzero(row)
@@ -288,7 +284,8 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     P22 = P[1:, 1:] - P[0, 1:]: p(x) = (x - 1) g(x) with g the polynomial of
     P22, and K = g'(1)/g(1) = tr((I - P22)^{-1}) by Jacobi's formula.  Both
     scalar modes build this block, without pi, and invert it with one
-    ``_solve``.  One solve at the root avoids the cancellation a probe of the
+    ``_inverse_scaled``: exact K is one Fraction, its integral trace over d.
+    One inversion at the root avoids the cancellation a probe of the
     determinant suffers there and keeps the route independent of the
     eigensolver and of the mfpt route's fundamental matrix.
 
@@ -301,8 +298,8 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     if N == 1:
         return Fraction(0) if P.exact else 0.0
     M = np.eye(N - 1, dtype=P.data.dtype) - (P.data[1:, 1:] - P.data[0, 1:])
-    X = _solve(M, None, "unit root is not simple: deflated system singular")
-    k = _scalar(np.trace(X))
+    s, X = _inverse_scaled(M, "unit root is not simple: deflated system singular")
+    k = Fraction(np.trace(X), s) if P.exact else _scalar(np.trace(X))
     if not math.isfinite(k):
         raise EngineError("unit root is not simple: deflated trace diverged")
     return k

@@ -200,13 +200,15 @@ def profile(g: Graph) -> StructuralProfile:
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short form, n <= 62)
+# graph6 (B. McKay, formats.txt): n <= 62 in one byte, n <= 258047 as byte
+# 126 and three 6-bit bytes
 
 _G6_HEADER = ">>graph6<<"
+G6_MAX_N = 258047
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (short form only).
+    """Decode one graph6 string with 1 <= n <= 258047.
 
     Parameters
     ----------
@@ -228,17 +230,24 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    first = ord(s[0]) - 63
-    if s[0] == "~":
-        raise Graph6Error("long-form graph6 (n > 62) not supported", 0)
-    if not 0 <= first <= 62:
-        raise Graph6Error(f"invalid graph6 size character {s[0]!r}", 0)
-    n = first
+    if s[0] != "~":
+        n, start = ord(s[0]) - 63, 1
+        if not 0 <= n <= 62:
+            raise Graph6Error(f"invalid graph6 size character {s[0]!r}", 0)
+    elif s[1:2] == "~":
+        raise Graph6Error(f"graph6 order above {G6_MAX_N} not supported", 0)
+    else:
+        size = [ord(ch) - 63 for ch in s[1:4]]
+        if len(size) < 3 or not all(0 <= v <= 63 for v in size):
+            raise Graph6Error("invalid graph6 long-form size", 0)
+        n, start = size[0] << 12 | size[1] << 6 | size[2], 4
+        if n <= 62:
+            raise Graph6Error(f"long-form graph6 size {n} must be at least 63", 0)
     if n < 1:
         raise Graph6Error("graph6 order 0 not supported", 0)
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
-    data = s[1:]
+    data = s[start:]
     if len(data) < nchars:
         raise Graph6Error(
             f"truncated graph6 data: expected {nchars} characters, got {len(data)}",
@@ -247,18 +256,18 @@ def parse_graph6(text: str) -> Graph:
     if len(data) > nchars:
         raise Graph6Error(
             f"trailing graph6 data: expected {nchars} characters, got {len(data)}",
-            1 + nchars,
+            start + nchars,
         )
     bits = []
     for i, ch in enumerate(data):
         v = ord(ch) - 63
         if not 0 <= v <= 63:
-            raise Graph6Error(f"invalid graph6 data character {ch!r}", 1 + i)
+            raise Graph6Error(f"invalid graph6 data character {ch!r}", start + i)
         for b in range(5, -1, -1):
             bits.append((v >> b) & 1)
     for i in range(nbits, len(bits)):
         if bits[i]:
-            raise Graph6Error("nonzero padding bits", 1 + i // 6)
+            raise Graph6Error("nonzero padding bits", start + i // 6)
     edges = []
     k = 0
     for col in range(1, n):
@@ -270,13 +279,14 @@ def parse_graph6(text: str) -> Graph:
 
 
 def check_graph6_order(n: int) -> None:
-    """Raise GraphError unless short-form graph6 can encode n vertices."""
-    if n > 62:
-        raise GraphError(f"graph6 short form limited to n <= 62, got n={n}")
+    """Raise GraphError unless graph6 can encode n vertices."""
+    if n > G6_MAX_N:
+        raise GraphError(f"graph6 limited to n <= {G6_MAX_N}, got n={n}")
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode a graph as a short-form graph6 string (requires n <= 62)."""
+    """Encode a graph as a graph6 string (requires n <= 258047): the short
+    form up to n = 62, the long form beyond."""
     check_graph6_order(g.n)
     bits = []
     for col in range(1, g.n):
@@ -284,7 +294,10 @@ def to_graph6(g: Graph) -> str:
             bits.append(1 if g.has_edge(row, col) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(g.n + 63)]
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for i in range(0, len(bits), 6):
         v = 0
         for b in bits[i:i + 6]:

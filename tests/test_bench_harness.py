@@ -6,6 +6,8 @@ renamed or re-signed traced function would break only traced bench runs
 only the bench's own reference check, not the test suite.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,19 @@ def test_bench_values_match_reference(bench_modules, workload):
     for entry in corpus.build_rounds(workload, 7, 1)[0][:slots]:
         report = kemeny_triple(entry.graph, mode=mode)
         assert reference.mismatches(report.to_json(), reference.expected(entry)) == [], entry.label
+
+
+def test_exact_bytes_pinned(bench_modules):
+    # every exact value and its rendering on compute-exact round 0's first
+    # 18 slots; the spectrum route and the residuals are floats whose last
+    # digits depend on the BLAS build, so they are left out
+    corpus, _ = bench_modules
+    parts = []
+    for entry in corpus.build_rounds("compute-exact", 7, 1)[0][:18]:
+        report = kemeny_triple(entry.graph, mode="exact").to_json_dict()
+        for routes in report["routes"].values():
+            del routes["spectrum"]
+        del report["residuals"]
+        parts.append(json.dumps(report, sort_keys=True))
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    assert digest.startswith("9aae44bf1a761a1b"), digest

@@ -146,6 +146,21 @@ class TestCanonicalForm:
         with pytest.raises(GraphError, match="n <= 62, got n=64"):
             canonical_graph6(cube)
 
+    def test_census_skips_graphs_too_large_to_search(self, monkeypatch):
+        # graph6's long form reads the 6-cube; the census skips it unsearched
+        cube = from_edge_list(64, [(u, u ^ 1 << i) for u in range(64)
+                                   for i in range(6) if u < u ^ 1 << i])
+
+        def no_search(*args):
+            raise AssertionError("canonical search ran")
+
+        monkeypatch.setattr(census, "_canonical_core", no_search)
+        text = to_graph6(cube)
+        assert text.startswith("~?@?")
+        result = census_nb_vs_edge([text])
+        assert result.records == ()
+        assert result.skipped == ((text, "canonical form limited to n <= 62, got n=64"),)
+
 
 class TestEnumeration:
     # connected simple graphs on n vertices, a classical count

@@ -7,6 +7,7 @@ import pytest
 
 from nbkemeny import (
     ChainError,
+    ChainMatrix,
     OrientedEdgeIndex,
     adjacency_matrix,
     build_matrix,
@@ -117,6 +118,48 @@ class TestConstructions:
             Mf = build_matrix(graph, kind, exact=False)
             Me = build_matrix(graph, kind, exact=True)
             assert np.allclose(Mf.data, Me.as_float(), atol=1e-15)
+
+
+class TestIntegerRows:
+    """An exact chain holds its rows as integers F over row denominators e,
+    P = diag(e)^{-1} F; a float chain has e = 1 and F = data."""
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge", "non-backtracking"])
+    def test_rows_are_integers_over_the_walk_degree(self, graph, kind):
+        P = build_matrix(graph, kind, exact=True)
+        e, F = P.rows
+        assert all(type(x) is int for x in F.flat)
+        assert all(Fraction(F[i, j], e[i]) == P.data[i, j]
+                   for i in range(P.order) for j in range(P.order))
+        if kind == "vertex":
+            want = list(graph.degrees)
+        else:
+            shift = 1 if kind == "non-backtracking" else 0
+            want = [graph.degrees[v] - shift for _, v in OrientedEdgeIndex.from_graph(graph).arcs]
+        assert list(e) == want
+
+    def test_hand_built_chain_gets_the_same_rows(self, graph):
+        P = edge_transition(graph, exact=True)
+        rows = [[Fraction(x) for x in r] for r in P.data.tolist()]
+        e, F = ChainMatrix("edge", np.array(rows, dtype=object)).rows
+        assert list(e) == list(P.rows[0])
+        assert np.array_equal(F, P.rows[1])
+
+    def test_float_rows_are_the_data(self, graph):
+        P = edge_transition(graph)
+        e, F = P.rows
+        assert e == 1 and F is P.data
+
+    def test_exact_row_off_by_1e_30_raises(self):
+        row = [Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30)]
+        with pytest.raises(ChainError, match="row 1 of vertex matrix"):
+            ChainMatrix("vertex", np.array([[Fraction(1), 0], row], dtype=object))
+
+    def test_float_row_tolerance(self):
+        # the float bound stays 1e-12
+        ChainMatrix("vertex", np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]))
+        with pytest.raises(ChainError, match="row 1 of vertex matrix"):
+            ChainMatrix("vertex", np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]))
 
 
 class TestValidation:

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from nbkemeny import cli, engine, gen_complete, to_graph6
@@ -101,6 +102,16 @@ class TestCompute:
         code, out, _ = invoke(capsys, "compute", "--input", "-")
         assert code == 0
         assert json.loads(out)["kemeny"]["edge"] == "41/4"
+
+    def test_long_form_input(self, capsys, tmp_path):
+        # a 200-vertex cubic graph needs graph6's long form
+        G = nx.random_regular_graph(3, 200, seed=1)
+        path = tmp_path / "cubic200.g6"
+        path.write_bytes(nx.to_graph6_bytes(G, header=False))
+        code, out, _ = invoke(capsys, "compute", "--input", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["n"], report["m"], report["modes"]["edge"]) == (200, 300, "float")
 
     def test_byte_deterministic(self, capsys):
         _, out1, _ = invoke(capsys, "compute", "necklace:3")

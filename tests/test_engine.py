@@ -132,6 +132,29 @@ class TestStationary:
         with pytest.raises(EngineError):
             stationary(build_matrix(g, "vertex", exact=False))
 
+    @pytest.mark.parametrize("exact,delta", [(True, F(1, 10**40)), (False, 1e-8)],
+                             ids=["exact", "float"])
+    def test_near_miss_fails_verification(self, exact, delta, named_graphs, monkeypatch):
+        g = named_graphs["CB(3,4,6)"]
+        P = build_matrix(g, "vertex", exact=exact)
+        want = [F(d, 2 * g.m) for d in g.degrees]
+        assert stationary(P).tolist() == pytest.approx(want, abs=1e-15)
+
+        # the solve returns y = pi / e (see stationary): nudge it so that
+        # pi has delta moved from state 0 to state 1
+        e = np.broadcast_to(P.rows[0], P.order)
+        true_solve = engine._solve
+
+        def nudged(A, b, singular):
+            y = true_solve(A, b, singular).copy()
+            y[0] -= delta / e[0]
+            y[1] += delta / e[1]
+            return y
+
+        monkeypatch.setattr(engine, "_solve", nudged)
+        with pytest.raises(EngineError, match="stationary verification failed"):
+            stationary(P)
+
 
 class TestMfpt:
     def test_return_time_identity(self, named_graphs):

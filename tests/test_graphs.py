@@ -85,6 +85,33 @@ class TestGraph6:
             back = nx.from_graph6_bytes(to_graph6(g).encode())
             assert set(back.edges()) == {tuple(e) for e in g.edges}
 
+    @pytest.mark.parametrize("n", [63, 200])
+    def test_long_form_matches_networkx(self, n):
+        # n >= 63 is written as byte 126 and three 6-bit bytes
+        rng = random.Random(n)
+        g = random_connected(n, rng, extra_edges=n)
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        text = nx.to_graph6_bytes(G, header=False).decode().strip()
+        assert text[0] == "~"
+        assert parse_graph6(text) == g
+        assert to_graph6(g) == text
+
+    @pytest.mark.parametrize("text,match", [
+        ("~~??????", "order above 258047"),
+        ("~?@", "long-form size"),
+        ("~??}" + "?" * 316, "at least 63"),
+        ("~?@?" + "?" * 325, "truncated"),
+    ])
+    def test_rejects_bad_long_form(self, text, match):
+        with pytest.raises(Graph6Error, match=match):
+            parse_graph6(text)
+
+    def test_rejects_order_above_long_form(self):
+        with pytest.raises(GraphError, match="n <= 258047, got n=258048"):
+            to_graph6(Graph(258048, ()))
+
     def test_rejects_garbage(self):
         with pytest.raises(Graph6Error):
             parse_graph6("C~~~~")

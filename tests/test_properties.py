@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbkemeny import from_edge_list, kemeny_triple
+from nbkemeny import from_edge_list, kemeny_triple, parse_graph6, to_graph6
 from nbkemeny.engine import DEFAULT_TOL, agree
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -66,3 +66,17 @@ class TestTripleProperties:
     def test_float_report_passes(self, g):
         rep = kemeny_triple(g, mode="float", tol=DEFAULT_TOL)
         assert not rep.failed, rep.to_json()
+
+
+class TestGraph6:
+    @settings(PROPERTY, max_examples=40)
+    @given(st.data())
+    def test_round_trip_across_the_long_form(self, data):
+        # n = 62 is the last short-form order, n = 63 the first long-form one
+        n = data.draw(st.integers(60, 65))
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges = data.draw(st.sets(st.sampled_from(pairs), max_size=3 * n))
+        g = from_edge_list(n, sorted(edges))
+        text = to_graph6(g)
+        assert (text[0] == "~") == (n >= 63)
+        assert parse_graph6(text) == g
