@@ -26,6 +26,7 @@ from .formulas import barbell_kemeny
 from .graphs import (
     BarbellParams, Graph, GraphError, parse_graph6, to_graph6,
 )
+from .ratmath import format_scalar
 
 
 class CensusError(ValueError):
@@ -409,5 +410,6 @@ def sweep_csv(rows: Iterable[SweepRow]) -> str:
     """Render sweep rows as CSV, fractions as p/q."""
     lines = ["k,a,b,k_e,k_nb"]
     for r in rows:
-        lines.append(f"{r.k},{r.a},{r.b},{r.k_e},{r.k_nb}")
+        lines.append(f"{r.k},{r.a},{r.b},{format_scalar(r.k_e)},"
+                     f"{format_scalar(r.k_nb)}")
     return "\n".join(lines) + "\n"

@@ -177,10 +177,7 @@ def _closed_form_dict(name: str, arg: Optional[str], args) -> dict:
         return {"formula": "barbell-nb-max", "n": n, "k": params.k,
                 "a": params.a, "b": params.b, "k_nb": format_scalar(value)}
     if name in ("regular", "biregular"):
-        if arg:
-            g = parse_generator_spec(arg)
-        else:
-            g = _graph_from_args(args)
+        g = parse_generator_spec(arg) if arg else _graph_from_args(args)
         if name == "regular":
             prof = formulas.regular_profile(g)
             ke = formulas.regular_edge_kemeny(prof)
@@ -227,6 +224,9 @@ def _int_args(name: str, arg: Optional[str], arity: int) -> list:
 
 
 def _cmd_closed_form(args) -> int:
+    if args.input and (args.formula not in ("regular", "biregular") or args.arg):
+        raise CliError("--input applies only to closed-form regular or "
+                       "biregular without a graph argument")
     try:
         payload = _closed_form_dict(args.formula, args.arg, args)
     except (formulas.FormulaError, graphs.GraphError) as exc:
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def output_and_input(p):
         p.add_argument("--output", choices=("json", "csv"), default="json",
-                       help="serialization format (default json)")
+                       help="serialization format (default %(default)s)")
         p.add_argument("--input", default=None,
                        help="read graph6 from this path, or - for stdin")
 
@@ -348,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "scaled to tol*max(1,K/256)^2; exact values must be equal")
     output_and_input(p)
 
-    p = sub.add_parser("matrices", help="dump a walk matrix")
+    p = sub.add_parser("matrices", help="dump a walk matrix",
+                       description="Dump a walk matrix.  Entries are exact "
+                                   "at every size unless --mode float.")
     graph_and_mode(p)
     output_and_input(p)
     p.set_defaults(output="csv")

@@ -9,7 +9,9 @@ family satisfies and the extremal barbells on a fixed vertex count.
 
 Spectrum-dependent forms are evaluated in floats; everything that is a
 rational function of integer parameters is evaluated over ``Fraction``
-and stays exact.
+and stays exact.  The module imports only ``graphs`` and ``ratmath``:
+these forms are the outside reference the engine's routes are checked
+against, so none of them runs an engine route.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Union
 import numpy as np
 
 from . import ratmath
-from .chains import adjacency_matrix
 from .graphs import BarbellParams, Graph, profile
 
 Scalar = Union[Fraction, float]
@@ -132,7 +133,9 @@ def _check(name: str, lhs: Scalar, rhs: Scalar, strict: bool = False,
 
 
 def _adjacency_spectrum(g: Graph) -> tuple:
-    A = adjacency_matrix(g).data
+    A = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        A[u, v] = A[v, u] = 1.0
     vals = np.linalg.eigvalsh(A)[::-1]
     return tuple(float(v) for v in vals)
 
@@ -331,12 +334,11 @@ def barbell_kemeny(p: BarbellParams):
 
     Returns (k_v, k_e, k_nb) as fractions.  The vertex value comes from
     the one-sum decomposition into an a-cycle, a path on k vertices, and
-    a b-cycle; the edge value adds 2m - n = a + b + k; the
-    non-backtracking value is a rational function of (k, a, b) valid for
-    k >= 2.  At k = 1 the cycles merge at a degree-4 vertex, which breaks
-    that formula's block structure, so the k = 1 non-backtracking value
-    is computed exactly from the walk's characteristic polynomial
-    instead.
+    a b-cycle; the edge value adds 2m - n = a + b + k.  The
+    non-backtracking value is a rational function of (k, a, b) for
+    k >= 2; at k = 1 the cycles share a degree-4 vertex and it is
+    (4a^2 + 9ab + 4b^2 - a - b) / (2(a + b)), from the polynomial of
+    barbell_nb_charpoly.
     """
     a, b, k = p.a, p.b, p.k
     m = a + b + k - 1
@@ -349,7 +351,7 @@ def barbell_kemeny(p: BarbellParams):
     ) / m
     k_e = k_v + (a + b + k)
     if k == 1:
-        k_nb = _barbell_nb_merged(p)
+        k_nb = Fraction(4 * a * a + 9 * a * b + 4 * b * b - a - b, 2 * (a + b))
     else:
         k_nb = Fraction(
             2 * m * m + 3 * (a + b) ** 2 + 2 * a * b + 4 * (a + b) * (k - 1) - m,
@@ -358,34 +360,23 @@ def barbell_kemeny(p: BarbellParams):
     return k_v, k_e, k_nb
 
 
-def _barbell_nb_merged(p: BarbellParams) -> Fraction:
-    # exact non-backtracking value for the merged-vertex barbell CB(1,a,b)
-    from .chains import build_matrix
-    from .engine import kemeny_charpoly
-    from .graphs import gen_cycle_barbell
-
-    g = gen_cycle_barbell(p.k, p.a, p.b)
-    P = build_matrix(g, "non-backtracking", exact=True)
-    return kemeny_charpoly(P)
-
-
 def barbell_nb_charpoly(p: BarbellParams) -> list:
     """Characteristic polynomial of the non-backtracking transition matrix
     of CB(k, a, b), as ascending integer coefficients.
 
+    For k >= 2 every vertex where a cycle meets the path has degree 3, so
     p(t) = (2 t^a - 1)(2 t^b - 1) [ (2 t^a - 1)(2 t^b - 1) t^(2(k-1)) - 1 ].
-    Requires k >= 2; the k = 1 barbell (cycles sharing a vertex) has no
-    path interior and falls outside this factorization, so compute it
-    through the engine routes instead.
+    At k = 1 the four directed cycles meet at one degree-4 vertex and
+    p(t) = det(diag(t^a, t^a, t^b, t^b) - (J - R)/3), with R swapping each
+    cycle with its reverse: the same product with branching 3 in place
+    of 2 and constant 4 in place of 1.
     """
-    if p.k < 2:
-        raise FormulaError(
-            "closed-form charpoly needs k >= 2; use the engine routes for k = 1")
-    fa = [-1] + [0] * (p.a - 1) + [2]
-    fb = [-1] + [0] * (p.b - 1) + [2]
+    c = 3 if p.k == 1 else 2
+    fa = [-1] + [0] * (p.a - 1) + [c]
+    fb = [-1] + [0] * (p.b - 1) + [c]
     outer = ratmath.poly_mul(fa, fb)
     inner = [0] * (2 * (p.k - 1)) + list(outer)
-    inner[0] -= 1
+    inner[0] -= (c - 1) ** 2
     return ratmath.poly_mul(outer, inner)
 
 
@@ -421,8 +412,8 @@ def barbell_argmax(n: int, objective: str):
 
     Scans every CB(k, a, b) with a + b + k - 2 = n, a >= b >= 3, k >= 2,
     evaluating the exact closed forms.  Returns (maximizers, value) where
-    maximizers is a tuple of BarbellParams; ties within 1e-12 relative
-    tolerance are all reported.
+    maximizers is a tuple of BarbellParams; every barbell whose value
+    equals the maximum exactly is reported.
     """
     if objective not in ("edge", "nb"):
         raise FormulaError(f"unknown objective {objective!r}: use 'edge' or 'nb'")
@@ -436,6 +427,5 @@ def barbell_argmax(n: int, objective: str):
     if not results:
         raise FormulaError(f"no cycle barbell with k >= 2 exists on {n} vertices")
     top = max(value for _, value in results)
-    tol = Fraction(1, 10**12)
-    winners = tuple(p for p, value in results if (top - value) / top <= tol)
+    winners = tuple(p for p, value in results if value == top)
     return winners, top

@@ -312,7 +312,7 @@ def test_barbells():
                 form_count += 1
 
     poly_count = 0
-    for k in range(2, 16):
+    for k in range(1, 16):
         for b in range(3, 19):
             for a in range(b, 19):
                 if 2 * (a + b + k - 1) > 40:

@@ -188,6 +188,21 @@ class TestCompute:
 
 
 class TestMatrices:
+    def test_help_states_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["matrices", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "serialization format (default csv)" in out
+        assert "exact at every size unless --mode float" in out
+
+    def test_large_matrix_is_exact_in_auto_mode(self, capsys):
+        # 380 states, far above compute's auto-exact cap
+        code, out, _ = invoke(capsys, "matrices", "complete:20",
+                              "--kind", "edge")
+        assert code == 0
+        assert "1/19" in out.split("\n")[0]
+
     def test_vertex_csv_default(self, capsys):
         code, out, _ = invoke(capsys, "matrices", "complete:4")
         assert code == 0
@@ -287,6 +302,36 @@ class TestClosedForm:
         code, _, err = invoke(capsys, "closed-form", "necklace", "12")
         assert code == 1
 
+    def test_regular_from_input(self, capsys, tmp_path):
+        path = tmp_path / "k5.g6"
+        path.write_text(to_graph6(gen_complete(5)) + "\n")
+        code, out, _ = invoke(capsys, "closed-form", "regular",
+                              "--input", str(path))
+        assert code == 0
+        assert float(json.loads(out)["k_edge"]) == pytest.approx(18.2, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["necklace", "10"],
+        ["barbell", "1,3,3"],
+        ["barbell-nb-max", "30"],
+    ])
+    def test_input_outside_graph_formulas_rejected(self, capsys, argv):
+        # the path does not exist: refusing must not depend on reading it
+        code, out, err = invoke(capsys, "closed-form", *argv,
+                                "--input", "/nonexistent/graph.g6")
+        assert code == 1 and out == ""
+        assert "--input" in err
+
+    def test_input_beside_positional_graph_rejected(self, capsys, tmp_path):
+        path = tmp_path / "k4.g6"
+        path.write_text(to_graph6(gen_complete(4)) + "\n")
+        for name, spec in (("regular", "complete:5"),
+                           ("biregular", "bipartite:2,3")):
+            code, out, err = invoke(capsys, "closed-form", name, spec,
+                                    "--input", str(path))
+            assert code == 1 and out == ""
+            assert "--input" in err
+
 
 class TestSweep:
     def test_csv_default(self, capsys):
@@ -316,6 +361,19 @@ class TestSweep:
     def test_too_small(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--n", "5")
         assert code == 1
+
+    def test_csv_rows_match_json(self, capsys):
+        # n = 17 has an integral row: CB(13, 3, 3) with k_e = 116, k_nb = 29
+        code, csv_out, _ = invoke(capsys, "sweep", "--n", "17")
+        assert code == 0
+        code, json_out, _ = invoke(capsys, "sweep", "--n", "17",
+                                   "--output", "json")
+        assert code == 0
+        csv_rows = csv_out.strip().split("\n")[1:]
+        json_rows = [f"{r['k']},{r['a']},{r['b']},{r['k_e']},{r['k_nb']}"
+                     for r in json.loads(json_out)["rows"]]
+        assert csv_rows == json_rows
+        assert "13,3,3,116/1,29/1" in csv_rows
 
 
 class TestCensus:

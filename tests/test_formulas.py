@@ -1,7 +1,9 @@
 """Closed forms against the engine and frozen oracle values."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from nbkemeny import (
     gen_necklace,
     kemeny_mfpt,
     kemeny_spectrum,
+    kemeny_triple,
     necklace_kemeny,
     regular_bounds,
     regular_edge_kemeny,
@@ -35,6 +38,7 @@ from nbkemeny import (
     regular_nb_spectrum,
     regular_profile,
 )
+import nbkemeny.formulas
 from nbkemeny.ratmath import charpoly_pencil
 
 from conftest import random_cubic
@@ -271,15 +275,18 @@ class TestBarbell:
             F(49, 2), F(75, 2), F(88, 3))
 
     def test_merged_vertex_case(self):
-        # at k = 1 the rational nb formula for k >= 2 does not apply; the
-        # value below is the engine's exact charpoly result, confirmed by
-        # the exact MFPT route
         kv, ke, knb = barbell_kemeny(BarbellParams(1, 3, 3))
         assert knb == F(49, 4)
         g = gen_cycle_barbell(1, 3, 3)
         assert exact_kemeny(g, "non-backtracking") == F(49, 4)
         assert exact_kemeny(g, "vertex") == kv
         assert exact_kemeny(g, "edge") == ke
+        for a in range(3, 9):
+            for b in range(3, 9):
+                report = kemeny_triple(gen_cycle_barbell(1, a, b), mode="exact")
+                assert not report.failed
+                assert barbell_kemeny(BarbellParams(1, a, b)) == (
+                    report.k_vertex, report.k_edge, report.k_nb), (a, b)
 
     def test_shift_identity(self):
         for k, a, b in ((1, 3, 4), (2, 5, 3), (4, 6, 6)):
@@ -303,27 +310,49 @@ class TestBarbell:
                 float(knb), abs=1e-8)
 
 
+def assert_proportional_to_pencil(k, a, b):
+    g = gen_cycle_barbell(k, a, b)
+    P = build_matrix(g, "non-backtracking", exact=True)
+    pencil = charpoly_pencil(P.data.tolist())
+    form = barbell_nb_charpoly(BarbellParams(k, a, b))
+    assert len(pencil) == len(form)
+    # same polynomial up to the pencil's determinant scale
+    lead_p, lead_f = pencil[-1], form[-1]
+    assert all(cp * lead_f == cf * lead_p
+               for cp, cf in zip(pencil, form)), (k, a, b)
+
+
 class TestBarbellCharpoly:
     def test_proportional_to_pencil(self):
         for k, a, b in ((2, 3, 3), (3, 4, 6), (2, 4, 5)):
-            g = gen_cycle_barbell(k, a, b)
-            P = build_matrix(g, "non-backtracking", exact=True)
-            pencil = charpoly_pencil(P.data.tolist())
-            form = barbell_nb_charpoly(BarbellParams(k, a, b))
-            assert len(pencil) == len(form)
-            # same polynomial up to the pencil's determinant scale
-            lead_p, lead_f = pencil[-1], form[-1]
-            assert all(cp * lead_f == cf * lead_p
-                       for cp, cf in zip(pencil, form))
+            assert_proportional_to_pencil(k, a, b)
 
     def test_kemeny_from_formula_polynomial(self):
         from nbkemeny import kemeny_from_charpoly
         coeffs = barbell_nb_charpoly(BarbellParams(3, 4, 6))
         assert kemeny_from_charpoly(coeffs) == F(88, 3)
 
-    def test_k1_rejected(self):
-        with pytest.raises(FormulaError):
-            barbell_nb_charpoly(BarbellParams(1, 3, 3))
+    def test_k1_matches_pencil(self):
+        # the cycles share a degree-4 vertex: branching 3, constant 4
+        for a, b in ((3, 3), (3, 5), (4, 7), (6, 6)):
+            assert_proportional_to_pencil(1, a, b)
+
+
+def test_formulas_imports_no_engine_layer():
+    # the closed forms are the reference the engine is checked against, so
+    # formulas may not import a module that runs an engine route, even
+    # lazily inside a function
+    source = Path(nbkemeny.formulas.__file__).read_text()
+    banned = {"engine", "chains", "census"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not banned & set(name.split(".")), (node.lineno, name)
 
 
 class TestBarbellExtremes:
