@@ -11,7 +11,9 @@ spectrum   K = sum over non-unit eigenvalues of 1/(1 - rho)
 charpoly   K = p''(1) / (2 p'(1)) from the characteristic polynomial, as
            tr((I - P22)^{-1}) for the block P22 = P[1:, 1:] - P[0, 1:] that
            the one similarity S = [1 | e2 ... eN] leaves beside the unit root
-resistance K = d^T R d / (4m) via the Laplacian pseudoinverse (vertex walk)
+resistance K = d^T R d / (4m) for the vertex walk, from one inverse of the
+           integral nL + J: (L + J/n)^{-1} = n Y / s, and the J/n shift
+           cancels in r(i, j), so K = n (2m sum_i d_i y_ii - d^T Y d) / (2m s)
 
 The three walks of a graph (vertex, edge-space, non-backtracking) are tied
 together by ``kemeny_triple``, which runs every applicable route per walk,
@@ -21,13 +23,14 @@ K_e = K_v + 2m - n, every check by one rule, ``agree``.
 Scalar mode
 -----------
 A chain's dtype is its scalar mode: object arrays hold exact ints and
-Fractions, float64 arrays floats.  Each route has one body for both;
-``stationary`` and the first-step residual read a chain's integer rows
-(``ChainMatrix.rows``), and linear algebra goes through one solve
-dispatch, ``_solve`` (``ratmath``'s exact kernels or ``np.linalg``), or
-its scaled inverse ``_inverse_scaled``, which keeps an exact inverse
-integral.  A comparison's bound is 0 in exact mode, so one test serves
-both.  Routes return Fractions or builtin floats.
+Fractions, float64 arrays floats.  Each route has one body for both.  It
+builds its matrix from a chain's integer rows (``ChainMatrix.rows``, with
+e = 1 in float mode) or from the graph, so an exact route hands ``ratmath``
+only integers, and linear algebra goes through one solve dispatch,
+``_solve`` (``ratmath``'s exact kernel or ``np.linalg``), or one inverse
+dispatch, ``_inverse_scaled``, which keeps an exact inverse integral over
+one denominator.  A comparison's bound is 0 in exact mode, so one test
+serves both.  Routes return Fractions or builtin floats.
 """
 
 from __future__ import annotations
@@ -70,21 +73,19 @@ class EngineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# the one solve dispatch
+# the solve and inverse dispatch
 
-def _solve(A: np.ndarray, b: Optional[np.ndarray], singular: str) -> np.ndarray:
-    """Solve A x = b, or invert A when b is None, in the scalar mode of A.
+def _solve(A: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
+    """Solve A x = b in the scalar mode of A.
 
-    Object arrays go to the exact fraction-free kernels of ``ratmath``,
+    Object arrays go to the exact fraction-free kernel of ``ratmath``,
     float64 arrays to LAPACK through ``np.linalg``.  A singular A raises
     EngineError(singular).
     """
     try:
         if A.dtype == object:
-            if b is None:
-                return np.array(ratmath.exact_inverse(A.tolist()), dtype=object)
             return np.array(ratmath.exact_solve(A.tolist(), b.tolist()), dtype=object)
-        return np.linalg.inv(A) if b is None else np.linalg.solve(A, b)
+        return np.linalg.solve(A, b)
     except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
         raise EngineError(singular) from exc
 
@@ -92,15 +93,16 @@ def _solve(A: np.ndarray, b: Optional[np.ndarray], singular: str) -> np.ndarray:
 def _inverse_scaled(A: np.ndarray, singular: str) -> tuple[Scalar, np.ndarray]:
     """(s, X) with A X = s I, in the scalar mode of A.
 
-    In exact mode s is ``ratmath``'s nonzero integer denominator and X is
-    integral, so products with X can run over integers.  In float mode
-    s = 1.0 and X = A^{-1}.
+    In exact mode A is integral, s is ``ratmath``'s nonzero integer
+    denominator and X is integral, so products with X can run over
+    integers.  In float mode s = 1.0 and X = A^{-1}.  A singular A raises
+    EngineError(singular).
     """
-    if A.dtype != object:
-        return 1.0, _solve(A, None, singular)
     try:
+        if A.dtype != object:
+            return 1.0, np.linalg.inv(A)
         d, Y = ratmath.exact_inverse_scaled(A.tolist())
-    except ValueError as exc:
+    except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
         raise EngineError(singular) from exc
     return d, np.array(Y, dtype=object)
 
@@ -109,6 +111,12 @@ def _scalar(x) -> Scalar:
     """A route's result as a builtin: numpy floats become float, Fractions
     stay Fractions."""
     return np.asarray(x).item()
+
+
+def _ratio(num, den, exact: bool) -> Scalar:
+    """num / den as a route's result: one Fraction of two ints in exact
+    mode, a builtin float in float mode."""
+    return Fraction(num, den) if exact else _scalar(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +160,19 @@ def _fundamental(P: ChainMatrix) -> tuple[np.ndarray, Scalar, np.ndarray]:
     inverse stays on small integers (s has 49 bits on CB(2,15,15)'s edge
     walk, where Z's has 362).  The ones go in state N's column, not state
     0's: the charpoly route deflates at state 0, and the two routes share no
-    block.  pi is still computed, and verified by ``stationary``: the
-    passage times divide by it.
+    block.  From P's rows (e, F), P = diag(e)^{-1} F, the route builds
+    diag(e) (I - P + 1 e_N^T) = diag(e) - F + e e_N^T, integral in exact
+    mode, and its inverse (s, Y) gives X = Y diag(e) (float: e = 1).  pi is
+    still computed, and verified by ``stationary``: the passage times divide
+    by it.
     """
     pi = stationary(P)
-    A = -P.data
-    A[:, -1] += 1
-    A[np.diag_indices(P.order)] += 1
-    s, X = _inverse_scaled(A, "chain is reducible: fundamental matrix is singular")
-    return pi, s, X
+    e, F = P.rows
+    A = -F
+    A[:, -1] += e
+    A[np.diag_indices(P.order)] += e
+    s, Y = _inverse_scaled(A, "chain is reducible: fundamental matrix is singular")
+    return pi, s, Y * e
 
 
 def _first_step_residual(P: ChainMatrix, pi: np.ndarray, s: Scalar, X: np.ndarray) -> float:
@@ -283,9 +295,12 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     vector 1, so S^{-1} P S has the first column e1 and the trailing block
     P22 = P[1:, 1:] - P[0, 1:]: p(x) = (x - 1) g(x) with g the polynomial of
     P22, and K = g'(1)/g(1) = tr((I - P22)^{-1}) by Jacobi's formula.  Both
-    scalar modes build this block, without pi, and invert it with one
-    ``_inverse_scaled``: exact K is one Fraction, its integral trace over d.
-    One inversion at the root avoids the cancellation a probe of the
+    scalar modes build this block, without pi, from P's rows (e, F) with
+    P = diag(e)^{-1} F: row i of I - P22 times c_i = lcm(e_0, e_i) is
+    c_i (row i of I) - ((c_i/e_i) F[i, 1:] - (c_i/e_0) F[0, 1:]), integral
+    in exact mode (float: e = c = 1).  One ``_inverse_scaled`` gives (s, Y)
+    of it, and K = sum_i c_i y_ii / s, one Fraction in exact mode.  One
+    inversion at the root avoids the cancellation a probe of the
     determinant suffers there and keeps the route independent of the
     eigensolver and of the mfpt route's fundamental matrix.
 
@@ -297,9 +312,13 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     N = P.order
     if N == 1:
         return Fraction(0) if P.exact else 0.0
-    M = np.eye(N - 1, dtype=P.data.dtype) - (P.data[1:, 1:] - P.data[0, 1:])
-    s, X = _inverse_scaled(M, "unit root is not simple: deflated system singular")
-    k = Fraction(np.trace(X), s) if P.exact else _scalar(np.trace(X))
+    e, F = P.rows
+    e = np.broadcast_to(e, N)
+    c = np.lcm(e[0], e[1:])
+    M = np.eye(N - 1, dtype=F.dtype) * c - (
+        (c // e[1:])[:, None] * F[1:, 1:] - (c // e[0])[:, None] * F[0, 1:])
+    s, Y = _inverse_scaled(M, "unit root is not simple: deflated system singular")
+    k = _ratio(np.sum(c * np.diag(Y)), s, P.exact)
     if not math.isfinite(k):
         raise EngineError("unit root is not simple: deflated trace diverged")
     return k
@@ -321,37 +340,54 @@ class ResistanceData:
     exact: bool
 
 
-def resistance(g: Graph, exact: bool = True) -> ResistanceData:
-    """Effective resistance data via (L + J/n)^{-1} - J/n."""
+def _laplacian_inverse(g: Graph, exact: bool) -> tuple[Scalar, np.ndarray, np.ndarray]:
+    """(s, Y, d): (nL + J) Y = s I from one ``_inverse_scaled``, so that
+    X = (L + J/n)^{-1} = n Y / s, and the degree vector d in Y's mode.
+
+    nL + J is integral, so in exact mode no Fraction enters the inverse.
+    Its J/n shift cancels in r(i, j) = x_ii + x_jj - 2 x_ij, so only the
+    pseudoinverse X - J/n needs it back.
+    """
     if not g.is_connected():
         raise EngineError("effective resistance needs a connected graph")
-    shift = Fraction(1, g.n) if exact else 1.0 / g.n
     L = degree_matrix(g, exact).data - adjacency_matrix(g, exact).data
-    lp = _solve(L + shift, None, "Laplacian plus J/n is singular") - shift
-    diag = np.diag(lp)
-    R = diag[:, None] + diag[None, :] - 2 * lp
-    return ResistanceData(lp, R, exact)
+    s, Y = _inverse_scaled(g.n * L + 1, "Laplacian plus J/n is singular")
+    return s, Y, np.array(g.degrees, dtype=Y.dtype)
+
+
+def resistance(g: Graph, exact: bool = True) -> ResistanceData:
+    """Effective resistance data from X = (L + J/n)^{-1}: the pseudoinverse
+    X - J/n and r(i, j) = x_ii + x_jj - 2 x_ij."""
+    s, Y, _ = _laplacian_inverse(g, exact)
+    X = Y * _ratio(g.n, s, exact)
+    diag = np.diag(X)
+    R = diag[:, None] + diag[None, :] - 2 * X
+    return ResistanceData(X - _ratio(1, g.n, exact), R, exact)
 
 
 def kemeny_resistance(g: Graph, exact: bool = True) -> Scalar:
-    """Kemeny's constant of the simple walk: K = d^T R d / (4m)."""
+    """Kemeny's constant of the simple walk: K = d^T R d / (4m), which with
+    X = n Y / s (see ``_laplacian_inverse``) and sum_i d_i = 2m is
+    n (2m sum_i d_i y_ii - d^T Y d) / (2m s), over integers in exact mode."""
     if g.m == 0:
         if g.n == 1:
             return Fraction(0) if exact else 0.0
         raise EngineError("graph has no edges")
-    R = resistance(g, exact).resistance
-    dv = np.array(g.degrees, dtype=R.dtype)
-    return _scalar(dv @ R @ dv / (4 * g.m))
+    s, Y, d = _laplacian_inverse(g, exact)
+    two_m = 2 * g.m
+    return _ratio(g.n * (two_m * (d @ np.diag(Y)) - d @ Y @ d), two_m * s, exact)
 
 
 def moment(g: Graph, v: int, exact: bool = True) -> Scalar:
-    """Degree-weighted resistance moment sum_i deg(i) r(i, v)."""
+    """Degree-weighted resistance moment sum_i deg(i) r(i, v), which is
+    n (sum_i d_i y_ii + 2m y_vv - 2 (d^T Y)_v) / s (see
+    ``_laplacian_inverse``)."""
     if not 0 <= v < g.n:
         raise EngineError(f"vertex {v} out of range")
     if g.m == 0 and g.n > 1:
         raise EngineError("graph has no edges")
-    R = resistance(g, exact).resistance
-    return _scalar(np.array(g.degrees, dtype=R.dtype) @ R[:, v])
+    s, Y, d = _laplacian_inverse(g, exact)
+    return _ratio(g.n * (d @ np.diag(Y) + 2 * g.m * Y[v, v] - 2 * (d @ Y[:, v])), s, exact)
 
 
 def kemeny_one_sum(g1: Graph, v1: int, g2: Graph, v2: int, exact: bool = True) -> Scalar:

@@ -1,11 +1,12 @@
 """Exact rational and integer linear algebra kernels.
 
-Everything here is denominator-aware: rational inputs are cleared of their
-row denominators, and one fraction-free (Bareiss) elimination over plain
-Python ints serves solves, inverses and determinants.  Every division in it
-is exact, so no Fraction arithmetic runs in the hot loops; solutions become
-Fractions only at the end, or stay integers over one common denominator
-(``exact_inverse_scaled``).
+Everything here is denominator-aware: a rational row is cleared of its
+denominators, a row of ints passes through as it is (the engine's exact
+routes build their matrices integral), and one fraction-free (Bareiss)
+elimination over plain Python ints serves solves, inverses and
+determinants.  Every division in it is exact, so no Fraction arithmetic
+runs in the hot loops; solutions become Fractions only at the end, or stay
+integers over one common denominator (``exact_inverse_scaled``).
 
 The pencil functions (``pencil_poly``, ``charpoly_pencil``) and
 ``kemeny_from_charpoly`` are the exact reference for the engine's charpoly
@@ -123,9 +124,18 @@ def clear_row_denominators(
     P: Sequence[Sequence[Scalar]],
 ) -> tuple[list[int], list[list[int]]]:
     """Return (E, F) with E a positive integer diagonal and F = diag(E) @ P
-    integer, i.e. P = diag(E)^{-1} F."""
-    E = [lcm(*(x.denominator for x in row)) for row in P]
-    F = [[x.numerator * (l // x.denominator) for x in row] for l, row in zip(E, P)]
+    integer, i.e. P = diag(E)^{-1} F.  A row of ints is copied with E = 1,
+    without per-entry arithmetic."""
+    E: list[int] = []
+    F: list[list[int]] = []
+    for row in P:
+        if set(map(type, row)) <= {int}:
+            E.append(1)
+            F.append(list(row))
+        else:
+            l = lcm(*(x.denominator for x in row))
+            E.append(l)
+            F.append([x.numerator * (l // x.denominator) for x in row])
     return E, F
 
 

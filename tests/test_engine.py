@@ -41,15 +41,17 @@ from nbkemeny import (
     resistance,
     stationary,
 )
-from nbkemeny import engine
+from nbkemeny import engine, ratmath
 from nbkemeny.engine import agree
 from nbkemeny.ratmath import charpoly_pencil, exact_inverse
 
+import ratmath_reference as reference
 from conftest import (
     oracle_edge_P,
     oracle_kemeny,
     oracle_nb_P,
     oracle_vertex_P,
+    random_connected,
     random_cubic,
     random_min2,
 )
@@ -452,6 +454,39 @@ class TestResistance:
         with pytest.raises(EngineError):
             resistance(g)
 
+    def test_exact_route_matches_pseudoinverse_formula(self, named_graphs):
+        rng = random.Random(20261019)
+        graphs = list(named_graphs.values())
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            graphs.append(random_connected(n, rng, extra_edges=rng.randrange(n)))
+        for g in graphs:
+            assert kemeny_resistance(g, exact=True) == pseudoinverse_kemeny(g)
+
+    @pytest.mark.parametrize("params", [(100, 4, 4), (2, 150, 150)])
+    def test_float_route_on_long_barbells(self, params):
+        want = float(barbell_kemeny(BarbellParams(*params))[0])
+        got = kemeny_resistance(gen_cycle_barbell(*params), exact=False)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def pseudoinverse_kemeny(g):
+    """d^T R d / (4m), with R from the Laplacian pseudoinverse (L + J/n)^{-1}
+    - J/n, inverted as a rational matrix by the reference kernel: no
+    integral nL + J and no closed form in Y."""
+    n = g.n
+    A = [[F(1, n)] * n for _ in range(n)]
+    for v, d in enumerate(g.degrees):
+        A[v][v] += d
+    for u, v in g.edges:
+        A[u][v] -= 1
+        A[v][u] -= 1
+    s, Y = reference.exact_inverse_scaled(A)
+    lp = [[F(y, s) - F(1, n) for y in row] for row in Y]
+    deg = list(enumerate(g.degrees))
+    return sum(di * dj * (lp[i][i] + lp[j][j] - 2 * lp[i][j])
+               for i, di in deg for j, dj in deg) / (4 * g.m)
+
 
 def approx(want, exact):
     """Equality in exact mode, agreement to 1e-12 in float mode."""
@@ -557,6 +592,27 @@ class TestTriple:
         for tol in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="tol"):
                 kemeny_triple(gen_complete(4), tol=tol)
+
+    def test_exact_routes_feed_ratmath_integers(self, monkeypatch):
+        # every exact route builds its matrix integral, from the chain's
+        # rows or the graph's Laplacian, so ratmath clears no Fraction
+        rows_seen = []
+        kernel = ratmath._solve
+
+        def checked(rows, n, what):
+            rows_seen.append(all(type(x) is int for row in rows for x in row))
+            return kernel(rows, n, what)
+
+        monkeypatch.setattr(ratmath, "_solve", checked)
+        rng = random.Random(20261019)
+        graphs = [gen_cycle_barbell(3, 4, 6), gen_complete_bipartite(3, 4),
+                  random_min2(7, rng), random_min2(9, rng)]
+        for g in graphs:
+            assert not kemeny_triple(g, mode="exact").failed
+        # per graph: stationary, fundamental, charpoly and resistance on the
+        # vertex walk, the first three on each arc walk
+        assert len(rows_seen) == 10 * len(graphs)
+        assert all(rows_seen)
 
     def test_exact_routes_must_agree_exactly(self, monkeypatch):
         # a gap far below tol, which a float comparison would let pass

@@ -188,6 +188,16 @@ class TestPencil:
         assert E == [6, 5]
         assert F == [[3, 2], [2, 5]]
 
+    def test_integral_rows_pass_through(self):
+        # a row of ints clears to E = 1 with the same ints, copied, since
+        # elimination overwrites its rows; a mixed row clears as before
+        rows = [[3, 0, -2], [Fraction(1, 2), 1, Fraction(-1, 3)]]
+        E, F = clear_row_denominators(rows)
+        assert E == [1, 6]
+        assert F == [[3, 0, -2], [3, 6, -2]]
+        assert all(type(x) is int for row in F for x in row)
+        assert F[0] is not rows[0]
+
     def test_charpoly_matches_numpy_roots(self):
         rng = random.Random(17)
         for n in (2, 4, 6):
