@@ -12,7 +12,7 @@ be finite and >= 0.
 Graphs are given either as a generator spec in a flat ``name:args``
 grammar (``complete:5``, ``bipartite:2,3``, ``cycle:5``, ``path:4``,
 ``necklace:3``, ``barbell:2,15,15``), as a raw graph6 string, or read
-from ``--input`` (a path or ``-`` for stdin).
+from ``--input`` (a path or ``-`` for stdin) instead; giving both is an error.
 """
 
 from __future__ import annotations
@@ -52,15 +52,7 @@ def parse_generator_spec(spec: str) -> graphs.Graph:
     }
     if name in builders:
         fn, arity = builders[name]
-        parts = [p for p in argstr.split(",") if p] if argstr else []
-        if len(parts) != arity:
-            raise CliError(
-                f"generator {name!r} takes {arity} integer argument(s), "
-                f"got {argstr!r}")
-        try:
-            args = [int(p) for p in parts]
-        except ValueError:
-            raise CliError(f"generator arguments must be integers: {argstr!r}")
+        args = _int_list(f"generator {name!r}", argstr, arity)
         try:
             return fn(*args)
         except graphs.GraphError as exc:
@@ -73,6 +65,18 @@ def parse_generator_spec(spec: str) -> graphs.Graph:
             "(complete, bipartite, cycle, path, necklace, barbell) nor valid graph6")
 
 
+def _int_list(what: str, text: Optional[str], arity: int) -> list[int]:
+    """The comma-separated integers of a generator spec or a closed-form
+    argument: exactly arity fields, none of them empty."""
+    parts = text.split(",") if text else []
+    if len(parts) != arity:
+        raise CliError(f"{what} takes {arity} integer argument(s), got {text!r}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise CliError(f"{what} needs integers, got {text!r}")
+
+
 def _read_input(path: str):
     if path == "-":
         return sys.stdin.read()
@@ -83,17 +87,20 @@ def _read_input(path: str):
         raise CliError(f"malformed graph6 in {path!r}: non-ASCII byte at offset {exc.start}")
 
 
-def _graph_from_args(args) -> graphs.Graph:
-    if args.input:
-        text = _read_input(args.input)
+def _graph_from_args(spec: Optional[str], path: Optional[str]) -> graphs.Graph:
+    """The one graph of a command: a generator spec or graph6 string, or the
+    first graph6 line of the file at ``--input``, never both."""
+    if spec and path:
+        raise CliError("give the graph as an argument or with --input, not both")
+    if path:
+        text = _read_input(path)
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
-            raise CliError(f"no graph6 line found in {args.input!r}")
+            raise CliError(f"no graph6 line found in {path!r}")
         try:
             return graphs.parse_graph6(lines[0])
         except graphs.GraphError as exc:
-            raise CliError(f"malformed graph6 in {args.input!r}: {exc}")
-    spec = getattr(args, "graph", None)
+            raise CliError(f"malformed graph6 in {path!r}: {exc}")
     if not spec:
         raise CliError("give a generator spec / graph6 string, or --input")
     return parse_generator_spec(spec)
@@ -104,7 +111,7 @@ def _graph_from_args(args) -> graphs.Graph:
 
 
 def _cmd_compute(args) -> int:
-    g = _graph_from_args(args)
+    g = _graph_from_args(args.graph, args.input)
     if args.mode == "exact":
         states = max(g.n, 2 * g.m)
         if states > EXACT_STATE_CAP:
@@ -134,7 +141,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_matrices(args) -> int:
-    g = _graph_from_args(args)
+    g = _graph_from_args(args.graph, args.input)
     exact = args.mode != "float"
     try:
         M = chains.build_matrix(g, args.kind, exact=exact)
@@ -153,31 +160,32 @@ _FORMULA_NAMES = ("necklace", "barbell", "regular", "biregular",
                   "barbell-edge-max", "barbell-nb-max")
 
 
-def _closed_form_dict(name: str, arg: Optional[str], args) -> dict:
+def _closed_form_dict(args) -> dict:
+    name, arg = args.formula, args.arg
+    what = f"formula {name!r}"
     if name == "necklace":
-        n = _int_arg(name, arg)
+        (n,) = _int_list(what, arg, 1)
         kv, ke, knb = formulas.necklace_kemeny(n)
         return {"formula": "necklace", "n": n, "k_vertex": format_scalar(kv),
                 "k_edge": format_scalar(ke), "k_nb": format_scalar(knb)}
     if name == "barbell":
-        parts = _int_args(name, arg, 3)
-        params = graphs.BarbellParams(*parts)
+        params = graphs.BarbellParams(*_int_list(what, arg, 3))
         kv, ke, knb = formulas.barbell_kemeny(params)
         return {"formula": "barbell", "k": params.k, "a": params.a,
                 "b": params.b, "k_vertex": format_scalar(kv),
                 "k_edge": format_scalar(ke), "k_nb": format_scalar(knb)}
     if name == "barbell-edge-max":
-        n = _int_arg(name, arg)
+        (n,) = _int_list(what, arg, 1)
         params, value = formulas.barbell_edge_max(n)
         return {"formula": "barbell-edge-max", "n": n, "k": params.k,
                 "a": params.a, "b": params.b, "k_edge": format_scalar(value)}
     if name == "barbell-nb-max":
-        n = _int_arg(name, arg)
+        (n,) = _int_list(what, arg, 1)
         params, value = formulas.barbell_nb_max(n)
         return {"formula": "barbell-nb-max", "n": n, "k": params.k,
                 "a": params.a, "b": params.b, "k_nb": format_scalar(value)}
     if name in ("regular", "biregular"):
-        g = parse_generator_spec(arg) if arg else _graph_from_args(args)
+        g = _graph_from_args(arg, args.input)
         if name == "regular":
             prof = formulas.regular_profile(g)
             ke = formulas.regular_edge_kemeny(prof)
@@ -204,31 +212,11 @@ def _closed_form_dict(name: str, arg: Optional[str], args) -> dict:
     raise CliError(f"unknown formula {name!r}; choose from {_FORMULA_NAMES}")
 
 
-def _int_arg(name: str, arg: Optional[str]) -> int:
-    if arg is None:
-        raise CliError(f"formula {name!r} needs one integer argument")
-    try:
-        return int(arg)
-    except ValueError:
-        raise CliError(f"formula {name!r} needs an integer, got {arg!r}")
-
-
-def _int_args(name: str, arg: Optional[str], arity: int) -> list:
-    parts = (arg or "").split(",")
-    if len(parts) != arity:
-        raise CliError(f"formula {name!r} needs {arity} integers like 2,15,15")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise CliError(f"formula {name!r} needs integers, got {arg!r}")
-
-
 def _cmd_closed_form(args) -> int:
-    if args.input and (args.formula not in ("regular", "biregular") or args.arg):
-        raise CliError("--input applies only to closed-form regular or "
-                       "biregular without a graph argument")
+    if args.input and args.formula not in ("regular", "biregular"):
+        raise CliError("--input applies only to closed-form regular or biregular")
     try:
-        payload = _closed_form_dict(args.formula, args.arg, args)
+        payload = _closed_form_dict(args)
     except (formulas.FormulaError, graphs.GraphError) as exc:
         raise CliError(str(exc))
     if args.output == "json":

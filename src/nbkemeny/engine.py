@@ -26,11 +26,12 @@ A chain's dtype is its scalar mode: object arrays hold exact ints and
 Fractions, float64 arrays floats.  Each route has one body for both.  It
 builds its matrix from a chain's integer rows (``ChainMatrix.rows``, with
 e = 1 in float mode) or from the graph, so an exact route hands ``ratmath``
-only integers, and linear algebra goes through one solve dispatch,
-``_solve`` (``ratmath``'s exact kernel or ``np.linalg``), or one inverse
-dispatch, ``_inverse_scaled``, which keeps an exact inverse integral over
-one denominator.  A comparison's bound is 0 in exact mode, so one test
-serves both.  Routes return Fractions or builtin floats.
+only integers.  Every solve and inverse goes through one dispatch,
+``_solve_scaled(A, B)``, which returns (s, X) with A X = s B: in exact mode
+``ratmath.solve_scaled``'s integral X over one integer s, so products with
+X run over integers, and in float mode ``np.linalg.solve`` with s = 1.0.
+A comparison's bound is 0 in exact mode, so one test serves both.  Routes
+return Fractions or builtin floats.
 """
 
 from __future__ import annotations
@@ -73,38 +74,23 @@ class EngineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# the solve and inverse dispatch
+# the solve dispatch
 
-def _solve(A: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
-    """Solve A x = b in the scalar mode of A.
+def _solve_scaled(A: np.ndarray, B: np.ndarray, singular: str) -> tuple[Scalar, np.ndarray]:
+    """(s, X) with A X = s B, in the scalar mode of A.
 
-    Object arrays go to the exact fraction-free kernel of ``ratmath``,
-    float64 arrays to LAPACK through ``np.linalg``.  A singular A raises
-    EngineError(singular).
-    """
-    try:
-        if A.dtype == object:
-            return np.array(ratmath.exact_solve(A.tolist(), b.tolist()), dtype=object)
-        return np.linalg.solve(A, b)
-    except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
-        raise EngineError(singular) from exc
-
-
-def _inverse_scaled(A: np.ndarray, singular: str) -> tuple[Scalar, np.ndarray]:
-    """(s, X) with A X = s I, in the scalar mode of A.
-
-    In exact mode A is integral, s is ``ratmath``'s nonzero integer
-    denominator and X is integral, so products with X can run over
-    integers.  In float mode s = 1.0 and X = A^{-1}.  A singular A raises
-    EngineError(singular).
+    In exact mode A and B are integral, and ``ratmath.solve_scaled`` returns
+    a nonzero integer s, of either sign, and an integral X, so products with
+    X run over integers.  In float mode s = 1.0 and X = A^{-1} B from
+    ``np.linalg.solve``.  A singular A raises EngineError(singular).
     """
     try:
         if A.dtype != object:
-            return 1.0, np.linalg.inv(A)
-        d, Y = ratmath.exact_inverse_scaled(A.tolist())
+            return 1.0, np.linalg.solve(A, B)
+        s, X = ratmath.solve_scaled(A.tolist(), B.tolist())
     except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
         raise EngineError(singular) from exc
-    return d, np.array(Y, dtype=object)
+    return s, np.array(X, dtype=object)
 
 
 def _scalar(x) -> Scalar:
@@ -128,26 +114,27 @@ def stationary(P: ChainMatrix) -> np.ndarray:
     Replaces one balance equation with the normalization sum(pi) = 1 and
     verifies the result; a reducible chain surfaces as a singular system or
     a failed verification.  Both read P's rows (e, F) and y = pi / e:
-    (diag(e) - F^T) y = 0, checked as F^T q y = e q y with q clearing y, over
-    ints with bound 0 in exact mode (e = q = 1 and bound 1e-10 in float).
+    (diag(e) - F^T) y = 0.  One ``_solve_scaled`` gives (s, Y) with y = Y / s,
+    and the check runs on Y: F^T Y = e Y, over ints with bound 0 in exact
+    mode (e = 1, s = 1.0 and bound 1e-10 in float), and s Y > 0.
     """
     N = P.order
     e, F = P.rows
     I = np.eye(N, dtype=F.dtype)
     A = I * e - F.T
     A[N - 1] = e
-    y = _solve(A, I[N - 1], "chain is reducible: stationary system is singular")
-    _, (qy,) = integer_rows(y[None])
+    s, X = _solve_scaled(A, I[:, N - 1:], "chain is reducible: stationary system is singular")
+    Y = X[:, 0]
     tol = 0 if P.exact else 1e-10
-    if np.max(np.abs(F.T @ qy - e * qy)) > tol or np.min(y) <= 0:
+    if np.max(np.abs(F.T @ Y - e * Y)) > tol or np.min(s * Y) <= 0:
         raise EngineError("chain is reducible: stationary verification failed")
-    return y * e
+    return Y * e * _ratio(1, s, P.exact)
 
 
 def _fundamental(P: ChainMatrix) -> tuple[np.ndarray, Scalar, np.ndarray]:
     """(pi, s, X): the stationary vector and a generalized inverse
     G = (I - P + 1 e_N^T)^{-1} of I - P as X = s G, from one inverse (see
-    ``_inverse_scaled``).
+    ``_solve_scaled``).
 
     For any u with u^T 1 = 1, (I - P + 1 u^T)^{-1} = Z - 1 (u - pi)^T Z,
     where Z = (I - P + 1 pi^T)^{-1} is the fundamental matrix of Kemeny and
@@ -171,7 +158,8 @@ def _fundamental(P: ChainMatrix) -> tuple[np.ndarray, Scalar, np.ndarray]:
     A = -F
     A[:, -1] += e
     A[np.diag_indices(P.order)] += e
-    s, Y = _inverse_scaled(A, "chain is reducible: fundamental matrix is singular")
+    I = np.eye(P.order, dtype=A.dtype)
+    s, Y = _solve_scaled(A, I, "chain is reducible: fundamental matrix is singular")
     return pi, s, Y * e
 
 
@@ -298,7 +286,7 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     scalar modes build this block, without pi, from P's rows (e, F) with
     P = diag(e)^{-1} F: row i of I - P22 times c_i = lcm(e_0, e_i) is
     c_i (row i of I) - ((c_i/e_i) F[i, 1:] - (c_i/e_0) F[0, 1:]), integral
-    in exact mode (float: e = c = 1).  One ``_inverse_scaled`` gives (s, Y)
+    in exact mode (float: e = c = 1).  One ``_solve_scaled`` gives (s, Y)
     of it, and K = sum_i c_i y_ii / s, one Fraction in exact mode.  One
     inversion at the root avoids the cancellation a probe of the
     determinant suffers there and keeps the route independent of the
@@ -315,9 +303,9 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     e, F = P.rows
     e = np.broadcast_to(e, N)
     c = np.lcm(e[0], e[1:])
-    M = np.eye(N - 1, dtype=F.dtype) * c - (
-        (c // e[1:])[:, None] * F[1:, 1:] - (c // e[0])[:, None] * F[0, 1:])
-    s, Y = _inverse_scaled(M, "unit root is not simple: deflated system singular")
+    I = np.eye(N - 1, dtype=F.dtype)
+    M = I * c - ((c // e[1:])[:, None] * F[1:, 1:] - (c // e[0])[:, None] * F[0, 1:])
+    s, Y = _solve_scaled(M, I, "unit root is not simple: deflated system singular")
     k = _ratio(np.sum(c * np.diag(Y)), s, P.exact)
     if not math.isfinite(k):
         raise EngineError("unit root is not simple: deflated trace diverged")
@@ -341,7 +329,7 @@ class ResistanceData:
 
 
 def _laplacian_inverse(g: Graph, exact: bool) -> tuple[Scalar, np.ndarray, np.ndarray]:
-    """(s, Y, d): (nL + J) Y = s I from one ``_inverse_scaled``, so that
+    """(s, Y, d): (nL + J) Y = s I from one ``_solve_scaled``, so that
     X = (L + J/n)^{-1} = n Y / s, and the degree vector d in Y's mode.
 
     nL + J is integral, so in exact mode no Fraction enters the inverse.
@@ -351,7 +339,8 @@ def _laplacian_inverse(g: Graph, exact: bool) -> tuple[Scalar, np.ndarray, np.nd
     if not g.is_connected():
         raise EngineError("effective resistance needs a connected graph")
     L = degree_matrix(g, exact).data - adjacency_matrix(g, exact).data
-    s, Y = _inverse_scaled(g.n * L + 1, "Laplacian plus J/n is singular")
+    I = np.eye(g.n, dtype=L.dtype)
+    s, Y = _solve_scaled(g.n * L + 1, I, "Laplacian plus J/n is singular")
     return s, Y, np.array(g.degrees, dtype=Y.dtype)
 
 

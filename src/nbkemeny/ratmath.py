@@ -1,12 +1,13 @@
 """Exact rational and integer linear algebra kernels.
 
-Everything here is denominator-aware: a rational row is cleared of its
-denominators, a row of ints passes through as it is (the engine's exact
-routes build their matrices integral), and one fraction-free (Bareiss)
-elimination over plain Python ints serves solves, inverses and
-determinants.  Every division in it is exact, so no Fraction arithmetic
-runs in the hot loops; solutions become Fractions only at the end, or stay
-integers over one common denominator (``exact_inverse_scaled``).
+One fraction-free (Bareiss) elimination over plain Python ints serves
+solves and determinants, and every division in it is exact.  Its one solve
+entry, ``solve_scaled(A, B) -> (d, X)`` with A X = d B, takes integral A
+and B and returns integers over one common denominator; it clears nothing.
+The engine's exact routes build their matrices integral and call it
+directly.  ``exact_solve`` and ``exact_inverse`` are the Fraction-accepting
+wrappers: they clear their input's row denominators
+(``clear_row_denominators``), call ``solve_scaled`` and divide by d.
 
 The pencil functions (``pencil_poly``, ``charpoly_pencil``) and
 ``kemeny_from_charpoly`` are the exact reference for the engine's charpoly
@@ -59,18 +60,23 @@ def _bareiss(M: list[list[int]], n: int) -> int:
     return sign
 
 
-def _solve(rows: list[list[Scalar]], n: int, what: str) -> tuple[int, list[list[int]]]:
-    """Solve A X = B exactly from the rows of [A | B], A being n x n.
+def solve_scaled(
+    A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],
+) -> tuple[int, list[list[int]]]:
+    """(d, X) with A X = d B, for integral A (n x n) and B (n x k): X is
+    integral and d is the nonzero determinant of A up to sign.
 
-    Returns (d, Y) with X = Y / d.  After elimination d * X is integral, d
-    being the last pivot, so back-substitution runs on it over integers and
-    every division is exact.  It works on whole rows: row i of d X is d
-    times row i of the eliminated B, less the rows of d X below it scaled
-    by row i's nonzero entries of A, divided by its pivot.
+    This is the one exact solve; it clears no denominators.  Bareiss
+    elimination of [A | B] leaves d X integral, d being the last pivot, so
+    back-substitution runs on it over integers and every division is exact.
+    It works on whole rows: row i of d X is d times row i of the eliminated
+    B, less the rows of d X below it scaled by row i's nonzero entries of A,
+    divided by its pivot.  Raises ValueError if A is singular.
     """
-    _, M = clear_row_denominators(rows)
+    n = len(A)
+    M = [[*a, *b] for a, b in zip(A, B)]
     if not _bareiss(M, n):
-        raise ValueError(f"singular {what}")
+        raise ValueError("singular matrix")
     det = M[n - 1][n - 1]
     X: list[list[int]] = [[]] * n
     for i in range(n - 1, -1, -1):
@@ -85,31 +91,25 @@ def _solve(rows: list[list[Scalar]], n: int, what: str) -> tuple[int, list[list[
 
 
 def exact_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:
-    """Solve A x = b exactly, by fraction-free elimination over integers.
-
-    Raises ValueError if A is singular.
-    """
-    d, Y = _solve([[*r, bi] for r, bi in zip(A, b)], len(A), "system")
-    return [Fraction(row[0], d) for row in Y]
-
-
-def exact_inverse(A: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Invert a matrix exactly, by fraction-free elimination of [A | I].
-
-    Raises ValueError if A is singular.
-    """
-    d, Y = exact_inverse_scaled(A)
-    return [[Fraction(v, d) for v in row] for row in Y]
-
-
-def exact_inverse_scaled(A: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
-    """(d, Y) with A Y = d I and Y integral: the inverse before its division
-    by the nonzero integer d, so products with it need no Fraction arithmetic.
+    """Solve A x = b exactly: clear the rows of [A | b], then ``solve_scaled``.
 
     Raises ValueError if A is singular.
     """
     n = len(A)
-    return _solve([[*r] + [int(i == j) for j in range(n)] for i, r in enumerate(A)], n, "matrix")
+    _, M = clear_row_denominators([[*r, bi] for r, bi in zip(A, b)])
+    d, X = solve_scaled([r[:n] for r in M], [r[n:] for r in M])
+    return [Fraction(x, d) for (x,) in X]
+
+
+def exact_inverse(A: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """Invert a matrix exactly: clear A = diag(E)^{-1} F, then
+    ``solve_scaled`` F Y = d diag(E), so that A Y = d I.
+
+    Raises ValueError if A is singular.
+    """
+    E, F = clear_row_denominators(A)
+    d, Y = solve_scaled(F, [[e * (i == j) for j in range(len(E))] for i, e in enumerate(E)])
+    return [[Fraction(v, d) for v in row] for row in Y]
 
 
 def bareiss_det(M: list[list[int]]) -> int:
@@ -124,18 +124,13 @@ def clear_row_denominators(
     P: Sequence[Sequence[Scalar]],
 ) -> tuple[list[int], list[list[int]]]:
     """Return (E, F) with E a positive integer diagonal and F = diag(E) @ P
-    integer, i.e. P = diag(E)^{-1} F.  A row of ints is copied with E = 1,
-    without per-entry arithmetic."""
+    integer, i.e. P = diag(E)^{-1} F."""
     E: list[int] = []
     F: list[list[int]] = []
     for row in P:
-        if set(map(type, row)) <= {int}:
-            E.append(1)
-            F.append(list(row))
-        else:
-            l = lcm(*(x.denominator for x in row))
-            E.append(l)
-            F.append([x.numerator * (l // x.denominator) for x in row])
+        l = lcm(*(x.denominator for x in row))
+        E.append(l)
+        F.append([x.numerator * (l // x.denominator) for x in row])
     return E, F
 
 

@@ -1,11 +1,12 @@
 """Reference fraction-free kernels for the ratmath tests.
 
-These are ``ratmath._bareiss`` and ``ratmath._solve``, with their callers
-``exact_inverse_scaled`` and ``bareiss_det``, as they stood before
-back-substitution ran on row vectors and skipped zero multipliers.  The
-tests require the library to return the same determinant, the same
-integers and the same permutation sign, so the bodies below must stay as
-they are.
+These are ``ratmath._bareiss`` and the solve that is now
+``ratmath.solve_scaled`` (then ``_solve``, which cleared the rows of
+[A | B] itself), with its callers ``exact_inverse_scaled`` and
+``bareiss_det``, as they stood before back-substitution ran on row vectors
+and skipped zero multipliers.  The tests require the library to return the
+same determinant, the same integers and the same permutation sign, so the
+bodies below must stay as they are.
 """
 
 from __future__ import annotations

@@ -74,6 +74,19 @@ class TestGeneratorSpec:
         with pytest.raises(cli.CliError, match="complete, bipartite"):
             parse_generator_spec("wheel:5")
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "complete:,5"],
+        ["generate", "bipartite:2,,3"],
+        ["compute", "barbell:2,15,15,"],
+        ["closed-form", "barbell", "2,15,15,"],
+        ["closed-form", "necklace", "10,"],
+    ])
+    def test_empty_field_rejected(self, capsys, argv):
+        # generator specs and closed-form arguments share one parser
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "integer argument(s)" in err
+
 
 class TestCompute:
     def test_barbell_json(self, capsys):
@@ -150,6 +163,13 @@ class TestCompute:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "compute", "--input", "/no/such/file")
         assert code == 1
+
+    def test_graph_beside_input_rejected(self, capsys, tmp_path):
+        path = tmp_path / "k4.g6"
+        path.write_text(to_graph6(gen_complete(4)) + "\n")
+        code, out, err = invoke(capsys, "compute", "complete:5", "--input", str(path))
+        assert code == 1 and out == ""
+        assert "--input" in err
 
     @pytest.mark.parametrize("command", ["compute", "census"])
     def test_non_ascii_file(self, capsys, tmp_path, command):
@@ -235,6 +255,13 @@ class TestMatrices:
         code, out, _ = invoke(capsys, "matrices", "complete:4", "--kind", kind)
         assert code == 0
         assert "/" not in out
+
+    def test_graph_beside_input_rejected(self, capsys, tmp_path):
+        path = tmp_path / "k4.g6"
+        path.write_text(to_graph6(gen_complete(4)) + "\n")
+        code, out, err = invoke(capsys, "matrices", "complete:5", "--input", str(path))
+        assert code == 1 and out == ""
+        assert "--input" in err
 
     def test_nb_needs_min_degree(self, capsys):
         code, _, err = invoke(capsys, "matrices", "path:4",

@@ -142,18 +142,19 @@ class TestStationary:
         want = [F(d, 2 * g.m) for d in g.degrees]
         assert stationary(P).tolist() == pytest.approx(want, abs=1e-15)
 
-        # the solve returns y = pi / e (see stationary): nudge it so that
-        # pi has delta moved from state 0 to state 1
+        # the solve returns (s, Y) with Y / s = pi / e (see stationary):
+        # nudge it so that pi has delta moved from state 0 to state 1
         e = np.broadcast_to(P.rows[0], P.order)
-        true_solve = engine._solve
+        true_solve = engine._solve_scaled
 
-        def nudged(A, b, singular):
-            y = true_solve(A, b, singular).copy()
-            y[0] -= delta / e[0]
-            y[1] += delta / e[1]
-            return y
+        def nudged(A, B, singular):
+            s, Y = true_solve(A, B, singular)
+            Y = Y.copy()
+            Y[0] -= s * delta / e[0]
+            Y[1] += s * delta / e[1]
+            return s, Y
 
-        monkeypatch.setattr(engine, "_solve", nudged)
+        monkeypatch.setattr(engine, "_solve_scaled", nudged)
         with pytest.raises(EngineError, match="stationary verification failed"):
             stationary(P)
 
@@ -597,13 +598,13 @@ class TestTriple:
         # every exact route builds its matrix integral, from the chain's
         # rows or the graph's Laplacian, so ratmath clears no Fraction
         rows_seen = []
-        kernel = ratmath._solve
+        kernel = ratmath.solve_scaled
 
-        def checked(rows, n, what):
-            rows_seen.append(all(type(x) is int for row in rows for x in row))
-            return kernel(rows, n, what)
+        def checked(A, B):
+            rows_seen.append(all(type(x) is int for rows in (A, B) for row in rows for x in row))
+            return kernel(A, B)
 
-        monkeypatch.setattr(ratmath, "_solve", checked)
+        monkeypatch.setattr(ratmath, "solve_scaled", checked)
         rng = random.Random(20261019)
         graphs = [gen_cycle_barbell(3, 4, 6), gen_complete_bipartite(3, 4),
                   random_min2(7, rng), random_min2(9, rng)]
@@ -613,6 +614,22 @@ class TestTriple:
         # vertex walk, the first three on each arc walk
         assert len(rows_seen) == 10 * len(graphs)
         assert all(rows_seen)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_solve_sign_leaves_report_unchanged(self, mode, monkeypatch):
+        # an exact s is a Bareiss determinant, of either sign: every route,
+        # stationary's positivity check included, must read only X / s
+        graphs = [gen_cycle_barbell(3, 4, 6), gen_complete_bipartite(3, 4),
+                  gen_cycle_barbell(1, 3, 5)]
+        want = [kemeny_triple(g, mode).to_json() for g in graphs]
+        solve = engine._solve_scaled
+
+        def negated(A, B, singular):
+            s, X = solve(A, B, singular)
+            return -s, -X
+
+        monkeypatch.setattr(engine, "_solve_scaled", negated)
+        assert [kemeny_triple(g, mode).to_json() for g in graphs] == want
 
     def test_exact_routes_must_agree_exactly(self, monkeypatch):
         # a gap far below tol, which a float comparison would let pass

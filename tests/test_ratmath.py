@@ -18,17 +18,16 @@ from nbkemeny import (
     stationary,
 )
 from nbkemeny.ratmath import (
-    _solve,
     bareiss_det,
     charpoly_pencil,
     clear_row_denominators,
     exact_inverse,
-    exact_inverse_scaled,
     exact_solve,
     format_scalar,
     pencil_poly,
     poly_eval,
     poly_mul,
+    solve_scaled,
 )
 
 
@@ -42,6 +41,13 @@ FRACTION_MATRIX = [[Fraction(1, 2), Fraction(1, 3), 0],
                    [0, Fraction(3, 4), Fraction(5, 6)]]
 # zero (0, 0) pivot forces a row swap; the determinant is -13
 SWAP_MATRIX = [[0, 2, 1], [3, 1, 0], [1, 0, 2]]
+
+
+def scaled_inverse(A):
+    """(d, Y) with A Y = d I: ``solve_scaled`` of A's cleared rows F against
+    its row denominators, F Y = d diag(E), as ``exact_inverse`` calls it."""
+    E, F = clear_row_denominators(A)
+    return solve_scaled(F, [[e * (i == j) for j in range(len(E))] for i, e in enumerate(E)])
 
 
 def nonsingular_cases(rng, sizes):
@@ -89,14 +95,14 @@ class TestSolve:
         rng = random.Random(3)
         for A in nonsingular_cases(rng, (1, 4)):
             n = len(A)
-            d, Y = exact_inverse_scaled(A)
+            d, Y = scaled_inverse(A)
             assert d != 0
             assert all(type(v) is int for row in Y for v in row)
             prod = [[sum(Fraction(A[i][k]) * Y[k][j] for k in range(n))
                      for j in range(n)] for i in range(n)]
             assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
         with pytest.raises(ValueError):
-            exact_inverse_scaled([[1, 2], [2, 4]])
+            solve_scaled([[1, 2], [2, 4]], [[1, 0], [0, 1]])
 
 
 class TestDeterminant:
@@ -148,7 +154,7 @@ class TestAgainstReference:
 
     def test_inverse_scaled(self):
         for A in self.cases():
-            assert exact_inverse_scaled(A) == reference.exact_inverse_scaled(A)
+            assert scaled_inverse(A) == reference.exact_inverse_scaled(A)
 
     def test_solve(self):
         rng = random.Random(7)
@@ -156,7 +162,8 @@ class TestAgainstReference:
             n = len(A)
             rows = [[*r, rng.randint(-9, 9)] for r in A]
             d, Y = reference._solve([r[:] for r in rows], n, "system")
-            assert _solve([r[:] for r in rows], n, "system") == (d, Y)
+            _, M = clear_row_denominators(rows)
+            assert solve_scaled([r[:n] for r in M], [r[n:] for r in M]) == (d, Y)
             assert exact_solve(A, [r[-1] for r in rows]) == [Fraction(y[0], d) for y in Y]
 
     def test_det(self):
@@ -174,7 +181,7 @@ class TestAgainstReference:
         singular = [[[1, 2], [2, 4]], [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
                     (np.eye(len(P), dtype=object) - P).tolist()]
         for A in singular:
-            for kernel in (exact_inverse_scaled, reference.exact_inverse_scaled):
+            for kernel in (scaled_inverse, reference.exact_inverse_scaled):
                 with pytest.raises(ValueError):
                     kernel(A)
             _, F = clear_row_denominators(A)
@@ -189,8 +196,8 @@ class TestPencil:
         assert F == [[3, 2], [2, 5]]
 
     def test_integral_rows_pass_through(self):
-        # a row of ints clears to E = 1 with the same ints, copied, since
-        # elimination overwrites its rows; a mixed row clears as before
+        # a row of ints clears to E = 1 with the same ints in a new list;
+        # a mixed row clears as before
         rows = [[3, 0, -2], [Fraction(1, 2), 1, Fraction(-1, 3)]]
         E, F = clear_row_denominators(rows)
         assert E == [1, 6]
