@@ -9,19 +9,24 @@ one non-edge per orbit of the automorphisms the canonical search proves
 J. Algorithms 1998; the pruned children would never have been first), the
 edge-vs-non-backtracking comparison census over the enumerated graphs on
 which that walk exists or over an externally supplied graph6 corpus, and
-the balanced cycle-barbell sweep.  Census values are computed with the
-spectral route; exactness obligations and spot-checks against the other
-routes live in the tests.
+the balanced cycle-barbell sweep.  The enumerator searches in one child
+process, a level ahead of the caller, so a census evaluates one level
+while the next is being found.  Census values are computed with the
+spectral route, and near-ties are decided by the exact charpoly route;
+spot-checks against the other routes live in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .chains import build_matrix, nb_walk_defect
-from .engine import DEFAULT_TOL, agree, kemeny_spectrum
+from .engine import (
+    DEFAULT_TOL, EXACT_STATE_CAP, agree, kemeny_charpoly, kemeny_spectrum,
+)
 from .formulas import barbell_kemeny
 from .graphs import (
     BarbellParams, Graph, GraphError, parse_graph6, to_graph6,
@@ -222,6 +227,47 @@ def _orbit_leaders(n: int, adj: Sequence[int], generators: list) -> Iterator[tup
                         stack.append(pair)
 
 
+def _levels(n: int) -> Iterator[list]:
+    """Each edge count's connected representatives, as adjacency-row
+    tuples in ascending order, from 0 edges up (see enumerate_graphs)."""
+    empty = (0,) * n
+    cert, _, generators = _canonical_core(n, empty)
+    level = {cert: (empty, generators)}
+    while level:
+        yield [adj for adj, _ in sorted(level.values())
+               if _mask_graph(n, adj).is_connected()]
+        nxt = {}
+        for adj, generators in level.values():
+            for u, v in _orbit_leaders(n, adj, generators):
+                cand = list(adj)
+                cand[u] |= 1 << v
+                cand[v] |= 1 << u
+                cert, _, found = _canonical_core(n, cand)
+                if cert not in nxt:
+                    nxt[cert] = (tuple(cand), found)
+        level = nxt
+
+
+def _send_levels(n: int, queue) -> None:
+    # the enumeration process: one message per level, then None; an error
+    # ends the stream in place of None.  An interrupt is the caller's to
+    # answer, by terminating this process.
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for rows in _levels(n):
+            queue.put(rows)
+    except Exception as exc:
+        queue.put(exc)
+    else:
+        queue.put(None)
+
+
+# How often a caller waiting on the enumeration process checks that it is
+# still alive; an error it raises arrives at once.
+_CHILD_POLL_S = 1.0
+
+
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of connected graphs
     on n vertices (OEIS A001349 counts them).
@@ -237,29 +283,49 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     of each orbit is augmented.  That one is seen before the rest, so
     every class keeps the representative that augmenting every non-edge
     would keep, and the yielded graphs and their order do not change.
+
+    The search runs in one child process (``multiprocessing``, default
+    start method), which sends each level's adjacency rows as soon as it
+    has them and goes on to the next level while the caller consumes
+    this one: enumeration and the caller's work share two cores.  The
+    child is terminated and joined when the generator finishes, is
+    closed or is left by an exception; an error in the child is raised
+    here.
     """
     if not 4 <= n <= 8:
         raise CensusError(
             f"built-in enumeration covers 4 <= n <= 8, not n={n}; "
             "feed a graph6 corpus instead")
-    empty = (0,) * n
-    cert, _, generators = _canonical_core(n, empty)
-    level = {cert: (empty, generators)}
-    while level:
-        for adj, _ in sorted(level.values()):
-            g = _mask_graph(n, adj)
-            if g.is_connected():
-                yield g
-        nxt = {}
-        for adj, generators in level.values():
-            for u, v in _orbit_leaders(n, adj, generators):
-                cand = list(adj)
-                cand[u] |= 1 << v
-                cand[v] |= 1 << u
-                cert, _, found = _canonical_core(n, cand)
-                if cert not in nxt:
-                    nxt[cert] = (tuple(cand), found)
-        level = nxt
+    # imported here so that importing the package does not load it
+    import multiprocessing
+    from queue import Empty
+
+    queue = multiprocessing.Queue()
+    child = multiprocessing.Process(target=_send_levels, args=(n, queue), daemon=True)
+    child.start()
+    try:
+        while True:
+            # alive before the wait: then a wait that times out after the
+            # child exited has seen everything it sent
+            alive = child.is_alive()
+            try:
+                rows = queue.get(timeout=_CHILD_POLL_S)
+            except Empty:
+                if alive:
+                    continue
+                raise CensusError(
+                    f"enumeration process exited with code {child.exitcode} "
+                    "before finishing")
+            if rows is None:
+                return
+            if isinstance(rows, Exception):
+                raise rows
+            for adj in rows:
+                yield _mask_graph(n, adj)
+    finally:
+        child.terminate()
+        child.join()
+        queue.close()
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +336,12 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 class CensusRecord:
     """One graph's comparison outcome.
 
-    diff_sign is 'equal' when ``engine.agree(K_nb, K_e, DEFAULT_TOL)``
-    (|K_nb - K_e| <= 1e-9 below K = 256), else 'nb_smaller' or
+    k_e and k_nb are the spectral route's floats.  When they lie within
+    ``TIE_SCREEN`` (relative) and both walks have at most
+    ``engine.EXACT_STATE_CAP`` states, diff_sign compares the exact
+    charpoly values instead, and 'equal' means K_nb = K_e exactly; above
+    the cap it is 'equal' when ``engine.agree(K_nb, K_e, DEFAULT_TOL)``
+    (|K_nb - K_e| <= 1e-9 below K = 256).  Otherwise it is 'nb_smaller' or
     'nb_larger_or_equal' (K_nb > K_e), a name kept for stable output bytes.
     """
 
@@ -289,12 +359,23 @@ class CensusResult(NamedTuple):
     skipped: tuple
 
 
+# Relative gap below which a census graph's two walks are compared exactly;
+# the nearest non-tie on n <= 8 vertices is 1.3e-4 apart.
+TIE_SCREEN = 1e-6
+
+
 def _evaluate(g: Graph) -> CensusRecord:
-    k_e = kemeny_spectrum(build_matrix(g, "edge", exact=False))
-    k_nb = kemeny_spectrum(build_matrix(g, "non-backtracking", exact=False))
-    if agree(k_nb, k_e, DEFAULT_TOL):
+    p_e = build_matrix(g, "edge", exact=False)
+    p_nb = build_matrix(g, "non-backtracking", exact=False)
+    k_e, k_nb = kemeny_spectrum(p_e), kemeny_spectrum(p_nb)
+    e, nb = k_e, k_nb
+    if (math.isclose(k_nb, k_e, rel_tol=TIE_SCREEN)
+            and max(p_e.order, p_nb.order) <= EXACT_STATE_CAP):
+        e = kemeny_charpoly(build_matrix(g, "edge", exact=True))
+        nb = kemeny_charpoly(build_matrix(g, "non-backtracking", exact=True))
+    if agree(nb, e, DEFAULT_TOL):
         sign = "equal"
-    elif k_nb > k_e:
+    elif nb > e:
         sign = "nb_larger_or_equal"
     else:
         sign = "nb_smaller"
@@ -309,7 +390,7 @@ def _qualify(g: Graph) -> Optional[str]:
 
 def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     """Count graphs whose non-backtracking Kemeny's constant is at least
-    the edge-space one, or ties with it by ``engine.agree`` (see CensusRecord).
+    the edge-space one, ties decided as CensusRecord says.
 
     ``source`` is either a vertex count (built-in exhaustive enumeration,
     4 <= n <= 8) or an iterable of graph6 strings / Graph objects.  Only

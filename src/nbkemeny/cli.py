@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import signal
 import sys
 from typing import Optional, Sequence
@@ -65,16 +66,20 @@ def parse_generator_spec(spec: str) -> graphs.Graph:
             "(complete, bipartite, cycle, path, necklace, barbell) nor valid graph6")
 
 
+# ASCII digits with an optional minus sign; int() alone would also take
+# "1_0", " 5" and "+6".  Negative values reach the range checks.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _int_list(what: str, text: Optional[str], arity: int) -> list[int]:
     """The comma-separated integers of a generator spec or a closed-form
     argument: exactly arity fields, none of them empty."""
     parts = text.split(",") if text else []
     if len(parts) != arity:
         raise CliError(f"{what} takes {arity} integer argument(s), got {text!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
+    if not all(_INTEGER.fullmatch(p) for p in parts):
         raise CliError(f"{what} needs integers, got {text!r}")
+    return [int(p) for p in parts]
 
 
 def _read_input(path: str):

@@ -1,7 +1,10 @@
 """Canonical forms, the exhaustive census, and the barbell sweep."""
 
 import hashlib
+import multiprocessing
+import os
 import random
+import signal
 from fractions import Fraction
 
 import networkx as nx
@@ -30,6 +33,7 @@ from nbkemeny import (
     kemeny_mfpt,
     kemeny_spectrum,
     nb_walk_defect,
+    parse_graph6,
     sweep_csv,
     sweep_skipped,
     to_graph6,
@@ -214,6 +218,75 @@ class TestEnumeration:
                 list(enumerate_graphs(bad))
 
 
+@pytest.fixture
+def alarm():
+    """Fail a test that waits on the enumeration process for over 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("enumeration process never answered")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+FORK = multiprocessing.get_start_method() == "fork"
+
+
+class TestEnumerationProcess:
+    """The search runs in one child process, which outlives no call."""
+
+    def test_no_child_after_census(self, alarm):
+        assert census_nb_vs_edge(6).count == 18
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_after_close(self, alarm):
+        graphs = enumerate_graphs(8)
+        next(graphs)
+        graphs.close()
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_after_consumer_error(self, alarm):
+        with pytest.raises(ZeroDivisionError):
+            for i, g in enumerate(enumerate_graphs(7)):
+                if i == 100:
+                    1 / 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not FORK, reason="a spawned child does not see the patch")
+    def test_child_error_reaches_caller(self, alarm, monkeypatch):
+        def broken(n):
+            yield [(0,) * n]
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(census, "_levels", broken)
+        seen = []
+        with pytest.raises(RuntimeError, match="search failed"):
+            for g in enumerate_graphs(6):
+                seen.append(g)
+        assert seen == [census._mask_graph(6, (0,) * 6)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not FORK, reason="a spawned child does not see the patch")
+    def test_silent_child_death_reaches_caller(self, alarm, monkeypatch):
+        monkeypatch.setattr(census, "_send_levels", lambda n, queue: os._exit(3))
+        with pytest.raises(CensusError, match="exited with code 3"):
+            list(enumerate_graphs(6))
+        assert multiprocessing.active_children() == []
+
+    def test_child_changes_no_value(self):
+        # the same graphs evaluated in this process, floats compared exactly
+        want = []
+        for rows in census._levels(7):
+            for adj in rows:
+                g = census._mask_graph(7, adj)
+                if nb_walk_defect(g) is None:
+                    want.append(census._evaluate(g))
+        want.sort(key=lambda r: (r.n, r.m, r.graph_id))
+        assert census_nb_vs_edge(7).records == tuple(want)
+
+
 class TestCensus:
     def test_builtin_counts(self):
         assert census_nb_vs_edge(4).count == 2
@@ -248,12 +321,33 @@ class TestCensus:
             assert r.diff_sign in ("nb_smaller", "equal", "nb_larger_or_equal")
 
     def test_spot_check_against_exact_route(self):
-        from nbkemeny import parse_graph6
         result = census_nb_vs_edge(5)
         for r in result.records[:4]:
             g = parse_graph6(r.graph_id)
             ke = kemeny_mfpt(build_matrix(g, "edge", exact=True))[0]
             assert r.k_e == pytest.approx(float(ke), abs=1e-8)
+
+    def test_float_tie_of_a_non_tie_is_decided_exactly(self, monkeypatch):
+        # F}rE? is the nearest non-tie at n = 7: K_e = 1571/77 and
+        # K_nb = 5387/264, 1.3e-4 apart; equal floats must not tie it
+        monkeypatch.setattr(census, "kemeny_spectrum", lambda P: 20.4)
+        record = census._evaluate(parse_graph6("F}rE?"))
+        assert (record.k_e, record.k_nb) == (20.4, 20.4)
+        assert record.diff_sign == "nb_larger_or_equal"
+
+    def test_exact_tie_survives_float_error(self, monkeypatch):
+        # Fs`_o has K_e = K_nb = 33/2; a float K_nb off by 1e-8 relative
+        # is beyond the float agreement bound, not beyond the screen
+        spectrum = census.kemeny_spectrum
+
+        def nudged(P):
+            k = spectrum(P)
+            return k * (1 + 1e-8) if P.kind == "non-backtracking" else k
+
+        monkeypatch.setattr(census, "kemeny_spectrum", nudged)
+        record = census._evaluate(parse_graph6("Fs`_o"))
+        assert record.k_nb != record.k_e
+        assert record.diff_sign == "equal"
 
     def test_stream_source(self):
         two_triangles = from_edge_list(

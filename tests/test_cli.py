@@ -87,6 +87,18 @@ class TestGeneratorSpec:
         assert code == 1 and out == ""
         assert "integer argument(s)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "complete:1_0"],
+        ["generate", "complete: 5"],
+        ["generate", "cycle:+6"],
+        ["closed-form", "necklace", "1_0"],
+    ])
+    def test_only_plain_digits_are_integers(self, capsys, argv):
+        # int() alone would read these as 10, 5, 6 and 10
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "needs integers" in err
+
 
 class TestCompute:
     def test_barbell_json(self, capsys):
