@@ -26,12 +26,17 @@ A chain's dtype is its scalar mode: object arrays hold exact ints and
 Fractions, float64 arrays floats.  Each route has one body for both.  It
 builds its matrix from a chain's integer rows (``ChainMatrix.rows``, with
 e = 1 in float mode) or from the graph, so an exact route hands ``ratmath``
-only integers.  Every solve and inverse goes through one dispatch,
+only integers.  Two dispatches reach the linear algebra, one per kernel
+entry of ``ratmath``.  Every solve and inverse goes through
 ``_solve_scaled(A, B)``, which returns (s, X) with A X = s B: in exact mode
 ``ratmath.solve_scaled``'s integral X over one integer s, so products with
 X run over integers, and in float mode ``np.linalg.solve`` with s = 1.0.
-A comparison's bound is 0 in exact mode, so one test serves both.  Routes
-return Fractions or builtin floats.
+The charpoly route needs one trace, and ``_trace_scaled(A, c)`` returns
+(s, t) with t / s = tr(A^{-1} diag(c)): in exact mode the two ints of
+``ratmath.trace_scaled``, which builds no inverse, and in float mode the
+trace of ``np.linalg.solve``'s inverse with s = 1.0.  A comparison's bound
+is 0 in exact mode, so one test serves both.  Routes return Fractions or
+builtin floats.
 """
 
 from __future__ import annotations
@@ -91,6 +96,23 @@ def _solve_scaled(A: np.ndarray, B: np.ndarray, singular: str) -> tuple[Scalar, 
     except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
         raise EngineError(singular) from exc
     return s, np.array(X, dtype=object)
+
+
+def _trace_scaled(A: np.ndarray, c: np.ndarray, singular: str) -> tuple[Scalar, Scalar]:
+    """(s, t) with t / s = tr(A^{-1} diag(c)), in the scalar mode of A.
+
+    In exact mode A and c are integral, and ``ratmath.trace_scaled`` returns
+    s = det(A) and t = s tr(A^{-1} diag(c)) as ints, from one elimination
+    over the dual integers that builds no inverse.  In float mode s = 1.0
+    and t is read off ``np.linalg.solve``'s inverse.  A singular A raises
+    EngineError(singular).
+    """
+    try:
+        if A.dtype != object:
+            return 1.0, np.sum(c * np.diag(np.linalg.solve(A, np.eye(len(A)))))
+        return ratmath.trace_scaled(A.tolist(), c.tolist())
+    except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
+        raise EngineError(singular) from exc
 
 
 def _scalar(x) -> Scalar:
@@ -286,11 +308,15 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     scalar modes build this block, without pi, from P's rows (e, F) with
     P = diag(e)^{-1} F: row i of I - P22 times c_i = lcm(e_0, e_i) is
     c_i (row i of I) - ((c_i/e_i) F[i, 1:] - (c_i/e_0) F[0, 1:]), integral
-    in exact mode (float: e = c = 1).  One ``_solve_scaled`` gives (s, Y)
-    of it, and K = sum_i c_i y_ii / s, one Fraction in exact mode.  One
-    inversion at the root avoids the cancellation a probe of the
+    in exact mode (float: e = c = 1).  Call it M; then K = tr(M^{-1}
+    diag(c)), read by one ``_trace_scaled`` as t / s, one Fraction in exact
+    mode.  There ``ratmath.trace_scaled`` takes it from det(M + eps
+    diag(c)) = s + t eps over the dual integers, by Jacobi's formula again,
+    so no entry of M^{-1} is built; in float mode it is the trace of one
+    inverse.  Working at the root avoids the cancellation a probe of the
     determinant suffers there and keeps the route independent of the
-    eigensolver and of the mfpt route's fundamental matrix.
+    eigensolver and of the mfpt route's solve kernel and fundamental
+    matrix.
 
     The deflation needs P 1 = 1, so only transition kinds are accepted; a
     unit root that is not simple makes I - P22 singular.
@@ -303,10 +329,10 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     e, F = P.rows
     e = np.broadcast_to(e, N)
     c = np.lcm(e[0], e[1:])
-    I = np.eye(N - 1, dtype=F.dtype)
-    M = I * c - ((c // e[1:])[:, None] * F[1:, 1:] - (c // e[0])[:, None] * F[0, 1:])
-    s, Y = _solve_scaled(M, I, "unit root is not simple: deflated system singular")
-    k = _ratio(np.sum(c * np.diag(Y)), s, P.exact)
+    M = np.eye(N - 1, dtype=F.dtype) * c
+    M -= (c // e[1:])[:, None] * F[1:, 1:] - (c // e[0])[:, None] * F[0, 1:]
+    s, t = _trace_scaled(M, c, "unit root is not simple: deflated system singular")
+    k = _ratio(t, s, P.exact)
     if not math.isfinite(k):
         raise EngineError("unit root is not simple: deflated trace diverged")
     return k

@@ -1,13 +1,19 @@
 """Exact rational and integer linear algebra kernels.
 
 One fraction-free (Bareiss) elimination over plain Python ints serves
-solves and determinants, and every division in it is exact.  Its one solve
-entry, ``solve_scaled(A, B) -> (d, X)`` with A X = d B, takes integral A
-and B and returns integers over one common denominator; it clears nothing.
-The engine's exact routes build their matrices integral and call it
-directly.  ``exact_solve`` and ``exact_inverse`` are the Fraction-accepting
-wrappers: they clear their input's row denominators
-(``clear_row_denominators``), call ``solve_scaled`` and divide by d.
+solves and determinants, and every division in it is exact.  The engine's
+exact routes build their matrices integral and reach it through two kernel
+entries, which clear nothing:
+
+- ``solve_scaled(A, B) -> (d, X)`` with A X = d B returns integers over one
+  common denominator (stationary, mfpt and resistance routes);
+- ``trace_scaled(A, c) -> (d, t)`` with t / d = tr(A^{-1} diag(c)) runs
+  Bareiss elimination over the dual integers, det(A + eps diag(c)) =
+  d + t eps, and builds no inverse (charpoly route).
+
+``exact_solve`` and ``exact_inverse`` are the Fraction-accepting wrappers:
+they clear their input's row denominators (``clear_row_denominators``),
+call ``solve_scaled`` and divide by d.
 
 The pencil functions (``pencil_poly``, ``charpoly_pencil``) and
 ``kemeny_from_charpoly`` are the exact reference for the engine's charpoly
@@ -18,6 +24,7 @@ determinants, a computation the route itself does not share.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Sequence, Union
 
@@ -31,8 +38,14 @@ def _bareiss(M: list[list[int]], n: int) -> int:
     right-hand sides.  Afterwards M[k][k] is the k-th leading principal minor
     of the row-permuted matrix.  Returns the permutation sign, or 0 if the
     first n columns are singular.
+
+    Each row keeps the set of columns that may be nonzero in it, and an
+    update runs only over the union of that set and the pivot row's: a
+    column that is zero in both rows stays zero, so the integers are those
+    of the update over the full width.
     """
-    width = len(M[0])
+    columns = range(len(M[0]))
+    support = [set(compress(columns, row)) for row in M]
     sign = 1
     prev = 1
     for k in range(n):
@@ -40,21 +53,27 @@ def _bareiss(M: list[list[int]], n: int) -> int:
             for r in range(k + 1, n):
                 if M[r][k]:
                     M[k], M[r] = M[r], M[k]
+                    support[k], support[r] = support[r], support[k]
                     sign = -sign
                     break
             else:
                 return 0
         pk = M[k][k]
         Mk = M[k]
+        Sk = support[k]
+        Sk.discard(k)
         for i in range(k + 1, n):
             Mi = M[i]
             mik = Mi[k]
+            Si = support[i]
+            Si.discard(k)
             if mik:
-                for j in range(k + 1, width):
+                Si |= Sk
+                for j in Si:
                     Mi[j] = (Mi[j] * pk - mik * Mk[j]) // prev
                 Mi[k] = 0
             elif prev != pk:
-                for j in range(k + 1, width):
+                for j in Si:
                     Mi[j] = (Mi[j] * pk) // prev
         prev = pk
     return sign
@@ -88,6 +107,71 @@ def solve_scaled(
                 acc = [a - mij * x for a, x in zip(acc, X[j])]
         X[i] = [a // Mi[i] for a in acc]
     return det, X
+
+
+def trace_scaled(A: Sequence[Sequence[int]], c: Sequence[int]) -> tuple[int, int]:
+    """(d, t) with t / d = tr(A^{-1} diag(c)), for integral A (n x n) and c:
+    d + t eps = det(A + eps diag(c)) over the dual integers Z[eps]/(eps^2).
+
+    By Jacobi's formula det(A + eps diag(c)) = det(A) (1 + eps tr(A^{-1}
+    diag(c))), so one elimination gives the trace, with no right-hand side
+    and no back-substitution.  It is ``_bareiss`` over dual integers: each
+    row is a real and an eps part, and the pivot is chosen by the real part,
+    which is eliminated exactly as ``_bareiss`` eliminates A.  Sylvester's
+    identity holds over any commutative ring, so every division is exact:
+    x / p with p_0 != 0 is q_0 = x_0 // p_0, q_1 = (x_1 - q_0 p_1) // p_0.
+    d is the determinant of A, sign included.  Raises ValueError if A is
+    singular.
+    """
+    n = len(A)
+    R = [list(row) for row in A]
+    E = [[0] * n for _ in range(n)]
+    for i, ci in enumerate(c):
+        E[i][i] = ci
+    support = [set(compress(range(n), row)) | {i} for i, row in enumerate(R)]
+    sign = 1
+    r0, r1 = 1, 0
+    for k in range(n):
+        if R[k][k] == 0:
+            for r in range(k + 1, n):
+                if R[r][k]:
+                    R[k], R[r] = R[r], R[k]
+                    E[k], E[r] = E[r], E[k]
+                    support[k], support[r] = support[r], support[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("singular matrix")
+        Rk = R[k]
+        Ek = E[k]
+        p0 = Rk[k]
+        p1 = Ek[k]
+        Sk = support[k]
+        Sk.discard(k)
+        for i in range(k + 1, n):
+            Ri = R[i]
+            Ei = E[i]
+            m0 = Ri[k]
+            m1 = Ei[k]
+            Si = support[i]
+            Si.discard(k)
+            if m0 or m1:
+                Si |= Sk
+                for j in Si:
+                    a0 = Ri[j]
+                    b0 = Rk[j]
+                    q0 = (a0 * p0 - m0 * b0) // r0
+                    Ri[j] = q0
+                    Ei[j] = (a0 * p1 + Ei[j] * p0 - m0 * Ek[j] - m1 * b0 - q0 * r1) // r0
+                Ri[k] = Ei[k] = 0
+            elif p0 != r0 or p1 != r1:
+                for j in Si:
+                    a0 = Ri[j]
+                    q0 = a0 * p0 // r0
+                    Ri[j] = q0
+                    Ei[j] = (a0 * p1 + Ei[j] * p0 - q0 * r1) // r0
+        r0, r1 = p0, p1
+    return sign * r0, sign * r1
 
 
 def exact_solve(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction]:

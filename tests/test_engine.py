@@ -597,38 +597,54 @@ class TestTriple:
     def test_exact_routes_feed_ratmath_integers(self, monkeypatch):
         # every exact route builds its matrix integral, from the chain's
         # rows or the graph's Laplacian, so ratmath clears no Fraction
-        rows_seen = []
-        kernel = ratmath.solve_scaled
+        rows_seen = {"solve_scaled": [], "trace_scaled": []}
+        solve, trace = ratmath.solve_scaled, ratmath.trace_scaled
 
-        def checked(A, B):
-            rows_seen.append(all(type(x) is int for rows in (A, B) for row in rows for x in row))
-            return kernel(A, B)
+        def ints(*rows):
+            return all(type(x) is int for row in rows for x in row)
 
-        monkeypatch.setattr(ratmath, "solve_scaled", checked)
+        def checked_solve(A, B):
+            rows_seen["solve_scaled"].append(ints(*A, *B))
+            return solve(A, B)
+
+        def checked_trace(A, c):
+            rows_seen["trace_scaled"].append(ints(*A, c))
+            return trace(A, c)
+
+        monkeypatch.setattr(ratmath, "solve_scaled", checked_solve)
+        monkeypatch.setattr(ratmath, "trace_scaled", checked_trace)
         rng = random.Random(20261019)
         graphs = [gen_cycle_barbell(3, 4, 6), gen_complete_bipartite(3, 4),
                   random_min2(7, rng), random_min2(9, rng)]
         for g in graphs:
             assert not kemeny_triple(g, mode="exact").failed
-        # per graph: stationary, fundamental, charpoly and resistance on the
-        # vertex walk, the first three on each arc walk
-        assert len(rows_seen) == 10 * len(graphs)
-        assert all(rows_seen)
+        # per graph: stationary, fundamental and resistance solves on the
+        # vertex walk, the first two on each arc walk, and one charpoly
+        # trace per walk
+        assert len(rows_seen["solve_scaled"]) == 7 * len(graphs)
+        assert len(rows_seen["trace_scaled"]) == 3 * len(graphs)
+        assert all(rows_seen["solve_scaled"]) and all(rows_seen["trace_scaled"])
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_solve_sign_leaves_report_unchanged(self, mode, monkeypatch):
         # an exact s is a Bareiss determinant, of either sign: every route,
-        # stationary's positivity check included, must read only X / s
+        # stationary's positivity check included, must read only X / s and t / s
         graphs = [gen_cycle_barbell(3, 4, 6), gen_complete_bipartite(3, 4),
                   gen_cycle_barbell(1, 3, 5)]
         want = [kemeny_triple(g, mode).to_json() for g in graphs]
         solve = engine._solve_scaled
+        trace = engine._trace_scaled
 
         def negated(A, B, singular):
             s, X = solve(A, B, singular)
             return -s, -X
 
+        def negated_trace(A, c, singular):
+            s, t = trace(A, c, singular)
+            return -s, -t
+
         monkeypatch.setattr(engine, "_solve_scaled", negated)
+        monkeypatch.setattr(engine, "_trace_scaled", negated_trace)
         assert [kemeny_triple(g, mode).to_json() for g in graphs] == want
 
     def test_exact_routes_must_agree_exactly(self, monkeypatch):

@@ -28,6 +28,7 @@ from nbkemeny.ratmath import (
     poly_eval,
     poly_mul,
     solve_scaled,
+    trace_scaled,
 )
 
 
@@ -129,19 +130,24 @@ def named_graphs():
             gen_cycle_barbell(3, 4, 6), from_edge_list(10, BIREG23_EDGES)]
 
 
-def walk_matrices():
-    """The matrices the engine hands the kernel: for every named graph and
-    walk, I - P + 1 e_N^T (mfpt route), I - P + 1 pi^T (its Kemeny-Snell
-    form, with larger integers) and I - (P[1:, 1:] - P[0, 1:]) (charpoly)."""
+def walk_blocks():
+    """The matrices the engine hands the kernel, one triple for every named
+    graph and walk: I - P + 1 e_N^T (mfpt route), I - P + 1 pi^T (its
+    Kemeny-Snell form, with larger integers) and I - (P[1:, 1:] - P[0, 1:])
+    (charpoly)."""
     for g in named_graphs():
         for kind in ("vertex", "edge", "non-backtracking"):
             P = build_matrix(g, kind, exact=True)
             I = np.eye(P.order, dtype=object)
             generalized = I - P.data
             generalized[:, -1] += 1
-            yield generalized.tolist()
-            yield (I - P.data + stationary(P)).tolist()
-            yield (I[1:, 1:] - (P.data[1:, 1:] - P.data[0, 1:])).tolist()
+            yield (generalized.tolist(), (I - P.data + stationary(P)).tolist(),
+                   (I[1:, 1:] - (P.data[1:, 1:] - P.data[0, 1:])).tolist())
+
+
+def walk_matrices():
+    for triple in walk_blocks():
+        yield from triple
 
 
 class TestAgainstReference:
@@ -186,6 +192,49 @@ class TestAgainstReference:
                     kernel(A)
             _, F = clear_row_denominators(A)
             assert bareiss_det([r[:] for r in F]) == reference.bareiss_det([r[:] for r in F]) == 0
+
+
+class TestTraceScaled:
+    """det(A + eps diag(c)) over the dual integers against the reference
+    kernels: the determinant, and the trace of the reference inverse."""
+
+    def check(self, A, c):
+        d, t = trace_scaled(A, c)
+        assert type(d) is int and type(t) is int
+        assert d == reference.bareiss_det([r[:] for r in A])
+        s, Y = reference.exact_inverse_scaled(A)
+        assert Fraction(t, d) == sum(Fraction(ci * Y[i][i], s) for i, ci in enumerate(c))
+
+    def test_nonsingular_cases(self):
+        rng = random.Random(20261020)
+        for A in nonsingular_cases(rng, range(1, 13)):
+            _, F = clear_row_denominators(A)
+            self.check(F, [rng.randint(-5, 5) for _ in F])
+        # the zero (0, 0) pivot has a nonzero eps part, and the pivot is
+        # still chosen by the real part
+        self.check(SWAP_MATRIX, [2, -1, 3])
+        self.check(SWAP_MATRIX, [0, 0, 0])
+
+    def test_charpoly_blocks(self):
+        # c clears the rows of I - P22, as the engine's weights do, so t / d
+        # is tr((I - P22)^{-1}), Kemeny's constant of the walk
+        for *_, block in walk_blocks():
+            c, F = clear_row_denominators(block)
+            self.check(F, c)
+            d, t = trace_scaled(F, c)
+            s, Y = reference.exact_inverse_scaled(block)
+            assert Fraction(t, d) == Fraction(sum(Y[i][i] for i in range(len(Y))), s)
+
+    def test_empty_matrix(self):
+        assert trace_scaled([], []) == (1, 0)
+
+    def test_singular_raises(self):
+        # I - P itself is singular: its rows sum to zero
+        P = build_matrix(gen_complete_bipartite(2, 3), "edge", exact=True).data
+        _, F = clear_row_denominators((np.eye(len(P), dtype=object) - P).tolist())
+        for A in ([[1, 2], [2, 4]], [[1, 2, 3], [2, 4, 6], [1, 0, 1]], F):
+            with pytest.raises(ValueError):
+                trace_scaled(A, [1] * len(A))
 
 
 class TestPencil:
