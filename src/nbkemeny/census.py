@@ -248,7 +248,7 @@ def _levels(n: int) -> Iterator[list]:
         level = nxt
 
 
-def _send_levels(n: int, queue) -> None:
+def _send_levels(n: int, conn) -> None:
     # the enumeration process: one message per level, then None; an error
     # ends the stream in place of None.  An interrupt is the caller's to
     # answer, by terminating this process.
@@ -256,16 +256,11 @@ def _send_levels(n: int, queue) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         for rows in _levels(n):
-            queue.put(rows)
+            conn.send(rows)
     except Exception as exc:
-        queue.put(exc)
+        conn.send(exc)
     else:
-        queue.put(None)
-
-
-# How often a caller waiting on the enumeration process checks that it is
-# still alive; an error it raises arrives at once.
-_CHILD_POLL_S = 1.0
+        conn.send(None)
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -285,12 +280,12 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     would keep, and the yielded graphs and their order do not change.
 
     The search runs in one child process (``multiprocessing``, default
-    start method), which sends each level's adjacency rows as soon as it
-    has them and goes on to the next level while the caller consumes
-    this one: enumeration and the caller's work share two cores.  The
-    child is terminated and joined when the generator finishes, is
+    start method), which sends each level's adjacency rows down a pipe as
+    soon as it has them and goes on to the next level while the caller
+    consumes this one: enumeration and the caller's work share two cores.
+    The child is terminated and joined when the generator finishes, is
     closed or is left by an exception; an error in the child is raised
-    here.
+    here, and so is its exit before the last level.
     """
     if not 4 <= n <= 8:
         raise CensusError(
@@ -298,24 +293,22 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
             "feed a graph6 corpus instead")
     # imported here so that importing the package does not load it
     import multiprocessing
-    from queue import Empty
 
-    queue = multiprocessing.Queue()
-    child = multiprocessing.Process(target=_send_levels, args=(n, queue), daemon=True)
+    recv_end, send_end = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(target=_send_levels, args=(n, send_end), daemon=True)
     child.start()
+    # the child holds the only write end left, so a receive after it has
+    # gone raises EOFError instead of waiting
+    send_end.close()
     try:
         while True:
-            # alive before the wait: then a wait that times out after the
-            # child exited has seen everything it sent
-            alive = child.is_alive()
             try:
-                rows = queue.get(timeout=_CHILD_POLL_S)
-            except Empty:
-                if alive:
-                    continue
+                rows = recv_end.recv()
+            except EOFError:
+                child.join()
                 raise CensusError(
                     f"enumeration process exited with code {child.exitcode} "
-                    "before finishing")
+                    "before finishing") from None
             if rows is None:
                 return
             if isinstance(rows, Exception):
@@ -325,7 +318,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     finally:
         child.terminate()
         child.join()
-        queue.close()
+        recv_end.close()
 
 
 # ---------------------------------------------------------------------------

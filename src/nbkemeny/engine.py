@@ -11,9 +11,9 @@ spectrum   K = sum over non-unit eigenvalues of 1/(1 - rho)
 charpoly   K = p''(1) / (2 p'(1)) from the characteristic polynomial, as
            tr((I - P22)^{-1}) for the block P22 = P[1:, 1:] - P[0, 1:] that
            the one similarity S = [1 | e2 ... eN] leaves beside the unit root
-resistance K = d^T R d / (4m) for the vertex walk, from one inverse of the
-           integral nL + J: (L + J/n)^{-1} = n Y / s, and the J/n shift
-           cancels in r(i, j), so K = n (2m sum_i d_i y_ii - d^T Y d) / (2m s)
+resistance K = d^T R d / (4m) for the vertex walk, from one inverse H of the
+           grounded Laplacian L_0 (L without row and column 0), sparse and
+           integral, with r(i, j) = h_ii + h_jj - 2 h_ij
 
 The three walks of a graph (vertex, edge-space, non-backtracking) are tied
 together by ``kemeny_triple``, which runs every applicable route per walk,
@@ -354,55 +354,59 @@ class ResistanceData:
     exact: bool
 
 
-def _laplacian_inverse(g: Graph, exact: bool) -> tuple[Scalar, np.ndarray, np.ndarray]:
-    """(s, Y, d): (nL + J) Y = s I from one ``_solve_scaled``, so that
-    X = (L + J/n)^{-1} = n Y / s, and the degree vector d in Y's mode.
+def _grounded_inverse(g: Graph, v: int, exact: bool) -> tuple[Scalar, np.ndarray, np.ndarray]:
+    """(s, Y, d): H = Y / s is the inverse of the grounded Laplacian L_v (L
+    without row and column v) from one ``_solve_scaled``, padded with zeros
+    at v, and d is the degree vector in Y's mode.
 
-    nL + J is integral, so in exact mode no Fraction enters the inverse.
-    Its J/n shift cancels in r(i, j) = x_ii + x_jj - 2 x_ij, so only the
-    pseudoinverse X - J/n needs it back.
+    L_v is sparse and integral, and |s| = det L_v is the number of spanning
+    trees of g (Kirchhoff's matrix-tree theorem).  H is a symmetric
+    generalized inverse of L, and e_i - e_j lies in L's range, so
+    r(i, j) = h_ii + h_jj - 2 h_ij.
     """
     if not g.is_connected():
         raise EngineError("effective resistance needs a connected graph")
     L = degree_matrix(g, exact).data - adjacency_matrix(g, exact).data
-    I = np.eye(g.n, dtype=L.dtype)
-    s, Y = _solve_scaled(g.n * L + 1, I, "Laplacian plus J/n is singular")
+    rest = np.ix_(*[np.delete(np.arange(g.n), v)] * 2)
+    s, X = _solve_scaled(L[rest], np.eye(g.n - 1, dtype=L.dtype), "grounded Laplacian is singular")
+    Y = np.zeros_like(L)
+    Y[rest] = X
     return s, Y, np.array(g.degrees, dtype=Y.dtype)
 
 
 def resistance(g: Graph, exact: bool = True) -> ResistanceData:
-    """Effective resistance data from X = (L + J/n)^{-1}: the pseudoinverse
-    X - J/n and r(i, j) = x_ii + x_jj - 2 x_ij."""
-    s, Y, _ = _laplacian_inverse(g, exact)
-    X = Y * _ratio(g.n, s, exact)
-    diag = np.diag(X)
-    R = diag[:, None] + diag[None, :] - 2 * X
-    return ResistanceData(X - _ratio(1, g.n, exact), R, exact)
+    """Effective resistance data from H grounded at vertex 0 (see
+    ``_grounded_inverse``): r(i, j) = h_ii + h_jj - 2 h_ij, and the
+    pseudoinverse (I - J/n) H (I - J/n), H with centred rows and columns."""
+    s, Y, _ = _grounded_inverse(g, 0, exact)
+    H = Y * _ratio(1, s, exact)
+    diag = np.diag(H)
+    R = diag[:, None] + diag[None, :] - 2 * H
+    mean = H.mean(axis=0)  # and its row means, H being symmetric
+    return ResistanceData(H - mean[:, None] - mean + mean.mean(), R, exact)
 
 
 def kemeny_resistance(g: Graph, exact: bool = True) -> Scalar:
     """Kemeny's constant of the simple walk: K = d^T R d / (4m), which with
-    X = n Y / s (see ``_laplacian_inverse``) and sum_i d_i = 2m is
-    n (2m sum_i d_i y_ii - d^T Y d) / (2m s), over integers in exact mode."""
-    if g.m == 0:
-        if g.n == 1:
-            return Fraction(0) if exact else 0.0
-        raise EngineError("graph has no edges")
-    s, Y, d = _laplacian_inverse(g, exact)
+    H = Y / s grounded at vertex 0 (see ``_grounded_inverse``) and
+    sum_i d_i = 2m is (2m sum_i d_i y_ii - d^T Y d) / (2m s), over integers
+    in exact mode.  Not at n - 1: L_{n-1} leads the mfpt route's matrix on
+    the vertex walk, and the two routes would share its elimination."""
+    if g.n == 1:
+        return Fraction(0) if exact else 0.0
+    s, Y, d = _grounded_inverse(g, 0, exact)
     two_m = 2 * g.m
-    return _ratio(g.n * (two_m * (d @ np.diag(Y)) - d @ Y @ d), two_m * s, exact)
+    return _ratio(two_m * (d @ np.diag(Y)) - d @ Y @ d, two_m * s, exact)
 
 
 def moment(g: Graph, v: int, exact: bool = True) -> Scalar:
-    """Degree-weighted resistance moment sum_i deg(i) r(i, v), which is
-    n (sum_i d_i y_ii + 2m y_vv - 2 (d^T Y)_v) / s (see
-    ``_laplacian_inverse``)."""
+    """Degree-weighted resistance moment sum_i deg(i) r(i, v).  Grounded at
+    v itself (see ``_grounded_inverse``), H has h_vv = h_iv = 0, so
+    r(i, v) = h_ii and the moment is sum_i d_i y_ii / s."""
     if not 0 <= v < g.n:
         raise EngineError(f"vertex {v} out of range")
-    if g.m == 0 and g.n > 1:
-        raise EngineError("graph has no edges")
-    s, Y, d = _laplacian_inverse(g, exact)
-    return _ratio(g.n * (d @ np.diag(Y) + 2 * g.m * Y[v, v] - 2 * (d @ Y[:, v])), s, exact)
+    s, Y, d = _grounded_inverse(g, v, exact)
+    return _ratio(d @ np.diag(Y), s, exact)
 
 
 def kemeny_one_sum(g1: Graph, v1: int, g2: Graph, v2: int, exact: bool = True) -> Scalar:

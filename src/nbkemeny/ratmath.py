@@ -90,9 +90,12 @@ def solve_scaled(
     back-substitution runs on it over integers and every division is exact.
     It works on whole rows: row i of d X is d times row i of the eliminated
     B, less the rows of d X below it scaled by row i's nonzero entries of A,
-    divided by its pivot.  Raises ValueError if A is singular.
+    divided by its pivot.  The empty system gives (1, []), as det of the
+    empty matrix is 1.  Raises ValueError if A is singular.
     """
     n = len(A)
+    if n == 0:
+        return 1, []
     M = [[*a, *b] for a, b in zip(A, B)]
     if not _bareiss(M, n):
         raise ValueError("singular matrix")

@@ -47,6 +47,7 @@ from nbkemeny.ratmath import charpoly_pencil, exact_inverse
 
 import ratmath_reference as reference
 from conftest import (
+    PETERSEN_EDGES,
     oracle_edge_P,
     oracle_kemeny,
     oracle_nb_P,
@@ -455,6 +456,24 @@ class TestResistance:
         with pytest.raises(EngineError):
             resistance(g)
 
+    @pytest.mark.parametrize("g, trees", [
+        (gen_complete(5), 5 ** 3),
+        (gen_complete(6), 6 ** 4),
+        (gen_cycle(7), 7),
+        (gen_complete_bipartite(3, 4), 3 ** 3 * 4 ** 2),
+        (gen_complete_bipartite(2, 5), 2 ** 4 * 5),
+        (gen_cycle_barbell(3, 4, 6), 4 * 6),
+        (gen_cycle_barbell(1, 3, 5), 3 * 5),
+        (from_edge_list(10, PETERSEN_EDGES), 2000),
+    ], ids=["K5", "K6", "C7", "K34", "K25", "CB(3,4,6)", "CB(1,3,5)", "petersen"])
+    def test_grounded_solve_counts_spanning_trees(self, g, trees):
+        # Kirchhoff's matrix-tree theorem: |det L_v| is the number of
+        # spanning trees whichever vertex v is grounded; for a cycle
+        # barbell, the product of its two cycles' counts
+        for v in range(g.n):
+            s, _, _ = engine._grounded_inverse(g, v, exact=True)
+            assert abs(s) == trees, v
+
     def test_exact_route_matches_pseudoinverse_formula(self, named_graphs):
         rng = random.Random(20261019)
         graphs = list(named_graphs.values())
@@ -473,8 +492,8 @@ class TestResistance:
 
 def pseudoinverse_kemeny(g):
     """d^T R d / (4m), with R from the Laplacian pseudoinverse (L + J/n)^{-1}
-    - J/n, inverted as a rational matrix by the reference kernel: no
-    integral nL + J and no closed form in Y."""
+    - J/n, inverted as a rational matrix by the reference kernel: not the
+    engine's grounded Laplacian L_0 and no closed form in Y."""
     n = g.n
     A = [[F(1, n)] * n for _ in range(n)]
     for v, d in enumerate(g.degrees):

@@ -121,6 +121,7 @@ class TestDeterminant:
 
     def test_empty_matrix(self):
         assert bareiss_det([]) == 1
+        assert solve_scaled([], []) == (1, [])
 
 
 def named_graphs():
