@@ -386,8 +386,9 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     the edge-space one, ties decided as CensusRecord says.
 
     ``source`` is either a vertex count (built-in exhaustive enumeration,
-    4 <= n <= 8) or an iterable of graph6 strings / Graph objects.  Only
-    connected graphs without a ``chains.nb_walk_defect`` are counted.
+    4 <= n <= 8) or an iterable of graph6 strings / Graph objects, not one
+    str or bytes (CensusError).  Only connected graphs without a
+    ``chains.nb_walk_defect`` are counted.
     Other stream entries are tallied in ``skipped`` as (entry, reason)
     pairs: "not connected", the defect, the canonical form's size limit or
     the parse error.  Records are ordered by (n, m, graph_id).
@@ -398,6 +399,8 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
         for g in enumerate_graphs(source):  # connected by construction
             if nb_walk_defect(g) is None:
                 records.append(_evaluate(g))
+    elif isinstance(source, (str, bytes)):
+        raise CensusError("census source is one string; pass an iterable of graph6 lines")
     else:
         for item in source:
             try:

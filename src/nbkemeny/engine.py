@@ -2,11 +2,11 @@
 
 Routes
 ------
-mfpt       definition: K = sum_j m(0, j) pi_j, all m(i, j) from one inverse
+mfpt       definition: K = sum_j m(0, j) pi_j = tr G - (G 1)_0 for
            G = (I - P + 1 e_N^T)^{-1}, a generalized inverse of I - P with
-           the passage times of Kemeny and Snell's Z = (I - P + 1 pi^T)^{-1}
-           (Hunter 1982), checked by the first-step equations
-           (I - P) G = I - 1 pi^T
+           the passage times of Kemeny and Snell's Z (Hunter 1982), read off
+           X = s G as (tr X - sum_j X_0j) / s; pi enters only the first-step
+           check (I - P) G = I - 1 pi^T
 spectrum   K = sum over non-unit eigenvalues of 1/(1 - rho)
 charpoly   K = p''(1) / (2 p'(1)) from the characteristic polynomial, as
            tr((I - P22)^{-1}) for the block P22 = P[1:, 1:] - P[0, 1:] that
@@ -115,16 +115,10 @@ def _trace_scaled(A: np.ndarray, c: np.ndarray, singular: str) -> tuple[Scalar, 
         raise EngineError(singular) from exc
 
 
-def _scalar(x) -> Scalar:
-    """A route's result as a builtin: numpy floats become float, Fractions
-    stay Fractions."""
-    return np.asarray(x).item()
-
-
 def _ratio(num, den, exact: bool) -> Scalar:
     """num / den as a route's result: one Fraction of two ints in exact
     mode, a builtin float in float mode."""
-    return Fraction(num, den) if exact else _scalar(num / den)
+    return Fraction(num, den) if exact else float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +166,8 @@ def _fundamental(P: ChainMatrix) -> tuple[np.ndarray, Scalar, np.ndarray]:
     block.  From P's rows (e, F), P = diag(e)^{-1} F, the route builds
     diag(e) (I - P + 1 e_N^T) = diag(e) - F + e e_N^T, integral in exact
     mode, and its inverse (s, Y) gives X = Y diag(e) (float: e = 1).  pi is
-    still computed, and verified by ``stationary``: the passage times divide
-    by it.
+    still computed, and verified by ``stationary``: ``mfpt`` divides by it,
+    and the first-step check reads it.
     """
     pi = stationary(P)
     e, F = P.rows
@@ -219,20 +213,19 @@ def mfpt(P: ChainMatrix) -> np.ndarray:
 def kemeny_mfpt(P: ChainMatrix) -> tuple[Scalar, float]:
     """Kemeny's constant from mean first-passage times.
 
-    Returns (K, residual) where K = sum_j m(0, j) pi_j, from row 0 of the
-    passage-time matrix, and residual is the max-abs residual of the
-    first-step equations (I - P) G = I - 1 pi^T (zero in theory).  K itself
-    is tr(G) - 1 whatever pi is, since G 1 = 1 and G does not depend on pi,
-    so only the residual sees a wrong pi.  In float mode it also measures
-    the error of the inverse.  In exact mode G is an exact inverse, so
-    (I - P) G = I - 1 e_N^T G, and e_N^T G is the true stationary vector:
-    the residual is the largest entry of |pi - e_N^T G|, zero exactly when
-    pi is stationary, which ``stationary`` has already verified with
-    bound 0, and it adds nothing to that verification.
+    Returns (K, residual) where K = sum_j m(0, j) pi_j and residual is the
+    max-abs residual of the first-step equations (I - P) G = I - 1 pi^T
+    (zero in theory).  Each m(0, j) pi_j is g_jj - g_0j, so pi cancels and K
+    is tr G - (G 1)_0, read off X = s G as (tr X - sum_j X_0j) / s.  pi
+    enters only the first-step check.  In float mode the residual also
+    measures the error of the inverse.  In exact mode G is an exact
+    inverse, so (I - P) G = I - 1 e_N^T G, and e_N^T G is the true
+    stationary vector: the residual is the largest entry of |pi - e_N^T G|,
+    zero exactly when pi is stationary, which ``stationary`` has already
+    verified with bound 0, and it adds nothing to that verification.
     """
     pi, s, X = _fundamental(P)
-    m0 = (np.diag(X) - X[0]) / (s * pi)
-    return _scalar(m0 @ pi), _first_step_residual(P, pi, s, X)
+    return _ratio(np.trace(X) - np.sum(X[0]), s, P.exact), _first_step_residual(P, pi, s, X)
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +379,35 @@ def resistance(g: Graph, exact: bool = True) -> ResistanceData:
     return ResistanceData(H - mean[:, None] - mean + mean.mean(), R, exact)
 
 
-def kemeny_resistance(g: Graph, exact: bool = True) -> Scalar:
-    """Kemeny's constant of the simple walk: K = d^T R d / (4m), which with
-    H = Y / s grounded at vertex 0 (see ``_grounded_inverse``) and
-    sum_i d_i = 2m is (2m sum_i d_i y_ii - d^T Y d) / (2m s), over integers
-    in exact mode.  Not at n - 1: L_{n-1} leads the mfpt route's matrix on
-    the vertex walk, and the two routes would share its elimination."""
-    if g.n == 1:
-        return Fraction(0) if exact else 0.0
-    s, Y, d = _grounded_inverse(g, 0, exact)
-    two_m = 2 * g.m
-    return _ratio(two_m * (d @ np.diag(Y)) - d @ Y @ d, two_m * s, exact)
+def _kemeny_and_moment(g: Graph, v: int, exact: bool) -> tuple[Scalar, Scalar]:
+    """(K, mu) from one inverse H = Y / s grounded at v (see
+    ``_grounded_inverse``); v is checked first: ``np.delete`` reads -1 as n - 1.
 
-
-def moment(g: Graph, v: int, exact: bool = True) -> Scalar:
-    """Degree-weighted resistance moment sum_i deg(i) r(i, v).  Grounded at
-    v itself (see ``_grounded_inverse``), H has h_vv = h_iv = 0, so
-    r(i, v) = h_ii and the moment is sum_i d_i y_ii / s."""
+    The simple walk's K = d^T R d / (4m) is (2m sum_i d_i y_ii - d^T Y d) /
+    (2m s) at any ground vertex, as sum_i d_i = 2m; when m = 0, d = 0 and 1
+    stands in for 2m, so K = 0.  The moment mu(v) = sum_i d_i r(i, v) is
+    sum_i d_i y_ii / s, as h_iv = 0.  Both are integer quotients in exact mode.
+    """
     if not 0 <= v < g.n:
         raise EngineError(f"vertex {v} out of range")
     s, Y, d = _grounded_inverse(g, v, exact)
-    return _ratio(d @ np.diag(Y), s, exact)
+    two_m = 2 * g.m
+    dy = d @ np.diag(Y)
+    return _ratio(two_m * dy - d @ Y @ d, max(two_m, 1) * s, exact), _ratio(dy, s, exact)
+
+
+def kemeny_resistance(g: Graph, exact: bool = True) -> Scalar:
+    """Kemeny's constant of the simple walk, K = d^T R d / (4m), grounded at
+    vertex 0 (see ``_kemeny_and_moment``).  Not at n - 1: L_{n-1} leads the
+    mfpt route's matrix on the vertex walk, and the two routes would share
+    its elimination."""
+    return _kemeny_and_moment(g, 0, exact)[0]
+
+
+def moment(g: Graph, v: int, exact: bool = True) -> Scalar:
+    """Degree-weighted resistance moment sum_i deg(i) r(i, v), grounded at v
+    itself (see ``_kemeny_and_moment``)."""
+    return _kemeny_and_moment(g, v, exact)[1]
 
 
 def kemeny_one_sum(g1: Graph, v1: int, g2: Graph, v2: int, exact: bool = True) -> Scalar:
@@ -414,16 +415,14 @@ def kemeny_one_sum(g1: Graph, v1: int, g2: Graph, v2: int, exact: bool = True) -
 
         K = (m1 (K1 + mu2(v2)) + m2 (K2 + mu1(v1))) / (m1 + m2)
 
-    Degenerate single-vertex parts contribute zero and reduce the formula
-    to the other part's constant.
+    One solve per part, grounded at its glue vertex, gives its K and mu.
+    A single-vertex part contributes zero, leaving the other's constant.
     """
     m1, m2 = g1.m, g2.m
     if m1 + m2 == 0:
         raise EngineError("1-sum of two single vertices has no edges")
-    k1 = kemeny_resistance(g1, exact)
-    k2 = kemeny_resistance(g2, exact)
-    mu1 = moment(g1, v1, exact)
-    mu2 = moment(g2, v2, exact)
+    k1, mu1 = _kemeny_and_moment(g1, v1, exact)
+    k2, mu2 = _kemeny_and_moment(g2, v2, exact)
     return (m1 * (k1 + mu2) + m2 * (k2 + mu1)) / (m1 + m2)
 
 
@@ -488,11 +487,8 @@ class KemenyReport:
 
 
 def _run_routes(P: ChainMatrix, g: Graph | None = None) -> tuple[dict[str, Scalar], float]:
-    vals: dict[str, Scalar] = {}
     k_m, spread = kemeny_mfpt(P)
-    vals["mfpt"] = k_m
-    vals["spectrum"] = kemeny_spectrum(P)
-    vals["charpoly"] = kemeny_charpoly(P)
+    vals = {"mfpt": k_m, "spectrum": kemeny_spectrum(P), "charpoly": kemeny_charpoly(P)}
     if g is not None:
         vals["resistance"] = kemeny_resistance(g, exact=P.exact)
     return vals, spread

@@ -369,6 +369,12 @@ class TestCensus:
         assert "graph is a cycle; the non-backtracking walk is reducible" in reasons
         assert "not connected" in reasons
 
+    def test_string_source_refused(self):
+        # a bare string would otherwise be read one character per line
+        for source in ("Dhc", b"Dhc"):
+            with pytest.raises(CensusError, match="one string"):
+                census_nb_vs_edge(source)
+
     def test_csv_shape(self):
         result = census_nb_vs_edge(4)
         text = census_csv(result.records)

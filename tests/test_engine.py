@@ -555,6 +555,43 @@ class TestOneSum:
         assert all(type(v) is want for v in values)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+class TestGroundVertex:
+    def test_glue_vertex_out_of_range(self, exact):
+        # np.delete would read -1 as the last vertex and ground there
+        g, g1, g2 = gen_cycle_barbell(2, 3, 4), gen_cycle(4), gen_complete(4)
+        calls = [
+            lambda: moment(g, -1, exact),
+            lambda: moment(g, g.n, exact),
+            lambda: kemeny_one_sum(g1, g1.n, g2, 0, exact),
+            lambda: kemeny_one_sum(g1, 0, g2, -1, exact),
+        ]
+        for call in calls:
+            with pytest.raises(EngineError, match="out of range"):
+                call()
+
+    def test_one_sum_grounds_each_part_once(self, exact, monkeypatch):
+        # one solve per part, grounded at its glue vertex, gives both its K
+        # and its moment
+        g1, v1 = gen_cycle_barbell(2, 40, 40), 5
+        g2, v2 = gen_cycle_barbell(3, 30, 50), 7
+        want = kemeny_resistance(one_sum(g1, v1, g2, v2), exact)
+        grounded = []
+
+        def counted(g, v, exact):
+            grounded.append(v)
+            return inner(g, v, exact)
+
+        inner = engine._grounded_inverse
+        monkeypatch.setattr(engine, "_grounded_inverse", counted)
+        got = kemeny_one_sum(g1, v1, g2, v2, exact)
+        assert grounded == [v1, v2]
+        if exact:
+            assert got == want == F(6287077, 2445)
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestTriple:
     def test_exact_report(self):
         g = gen_cycle_barbell(2, 3, 3)
