@@ -12,8 +12,10 @@ which that walk exists or over an externally supplied graph6 corpus, and
 the balanced cycle-barbell sweep.  The enumerator searches in one child
 process, a level ahead of the caller, so a census evaluates one level
 while the next is being found.  Census values are computed with the
-spectral route, and near-ties are decided by the exact charpoly route;
-spot-checks against the other routes live in the tests.
+float charpoly route (one inverse per walk, no eigensolve), and
+near-ties are decided by the exact charpoly route; the tests check the
+values on n <= 7 vertices against the spectral route and spot-check the
+others.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .chains import build_matrix, nb_walk_defect
 from .engine import (
-    DEFAULT_TOL, EXACT_STATE_CAP, agree, kemeny_charpoly, kemeny_spectrum,
+    DEFAULT_TOL, EXACT_STATE_CAP, agree, kemeny_charpoly,
 )
 from .formulas import barbell_kemeny
 from .graphs import (
-    BarbellParams, Graph, GraphError, parse_graph6, to_graph6,
+    BarbellParams, Graph, Graph6Error, GraphError, parse_graph6, to_graph6,
 )
 from .ratmath import format_scalar
 
@@ -206,6 +208,18 @@ def _mask_graph(n: int, adj: Sequence[int]) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1))
 
 
+def _mask_connected(adj: Sequence[int]) -> bool:
+    """Whether the graph with these adjacency row bitmasks is connected,
+    by a search from vertex 0 over a bitmask frontier."""
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier = (frontier ^ low) | new
+    return seen == (1 << len(adj)) - 1
+
+
 def _orbit_leaders(n: int, adj: Sequence[int], generators: list) -> Iterator[tuple]:
     """The first non-edge (u, v), in (u, v) loop order, of each orbit of
     non-edges under the group the automorphisms generate."""
@@ -235,7 +249,7 @@ def _levels(n: int) -> Iterator[list]:
     level = {cert: (empty, generators)}
     while level:
         yield [adj for adj, _ in sorted(level.values())
-               if _mask_graph(n, adj).is_connected()]
+               if _mask_connected(adj)]
         nxt = {}
         for adj, generators in level.values():
             for u, v in _orbit_leaders(n, adj, generators):
@@ -329,7 +343,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 class CensusRecord:
     """One graph's comparison outcome.
 
-    k_e and k_nb are the spectral route's floats.  When they lie within
+    k_e and k_nb are the float charpoly route's values.  When they lie within
     ``TIE_SCREEN`` (relative) and both walks have at most
     ``engine.EXACT_STATE_CAP`` states, diff_sign compares the exact
     charpoly values instead, and 'equal' means K_nb = K_e exactly; above
@@ -360,7 +374,7 @@ TIE_SCREEN = 1e-6
 def _evaluate(g: Graph) -> CensusRecord:
     p_e = build_matrix(g, "edge", exact=False)
     p_nb = build_matrix(g, "non-backtracking", exact=False)
-    k_e, k_nb = kemeny_spectrum(p_e), kemeny_spectrum(p_nb)
+    k_e, k_nb = kemeny_charpoly(p_e), kemeny_charpoly(p_nb)
     e, nb = k_e, k_nb
     if (math.isclose(k_nb, k_e, rel_tol=TIE_SCREEN)
             and max(p_e.order, p_nb.order) <= EXACT_STATE_CAP):
@@ -386,12 +400,14 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     the edge-space one, ties decided as CensusRecord says.
 
     ``source`` is either a vertex count (built-in exhaustive enumeration,
-    4 <= n <= 8) or an iterable of graph6 strings / Graph objects, not one
-    str or bytes (CensusError).  Only connected graphs without a
+    4 <= n <= 8) or an iterable of graph6 lines / Graph objects, not one
+    str or bytes (CensusError).  A bytes line, as read from a file opened
+    in binary mode, is decoded as ASCII.  Only connected graphs without a
     ``chains.nb_walk_defect`` are counted.
     Other stream entries are tallied in ``skipped`` as (entry, reason)
     pairs: "not connected", the defect, the canonical form's size limit or
-    the parse error.  Records are ordered by (n, m, graph_id).
+    the parse error (for a bytes line also a non-ASCII byte, with its
+    offset in the stripped line).  Records are ordered by (n, m, graph_id).
     """
     records = []
     skipped = []
@@ -404,6 +420,14 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     else:
         for item in source:
             try:
+                if isinstance(item, bytes):
+                    item = item.strip()
+                    try:
+                        item = item.decode("ascii")
+                    except UnicodeDecodeError as exc:
+                        # the skip entry shows the line with the byte escaped
+                        item = item.decode("ascii", "backslashreplace")
+                        raise Graph6Error("non-ASCII graph6 byte", exc.start) from None
                 g = item if isinstance(item, Graph) else parse_graph6(str(item))
             except GraphError as exc:
                 skipped.append((str(item).strip(), str(exc)))

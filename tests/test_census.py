@@ -39,6 +39,7 @@ from nbkemeny import (
     to_graph6,
 )
 from nbkemeny import census
+from nbkemeny.engine import DEFAULT_TOL, agree
 
 import census_reference as reference
 from conftest import PETERSEN_EDGES, random_connected
@@ -212,6 +213,31 @@ class TestEnumeration:
             seen.add(canonical_graph6(g))
         assert len(seen) == self.CORPUS[5]
 
+    def test_mask_connectivity_matches_graph(self, monkeypatch):
+        # every labelled graph on n <= 5 vertices
+        for n in range(1, 6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for bits in range(1 << len(pairs)):
+                g = from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+                assert census._mask_connected(census._adjacency_masks(g)) == g.is_connected()
+        # every level representative on n <= 7 vertices, as the search tests it
+        connected = census._mask_connected
+        tally = {True: 0, False: 0}
+
+        def checked(adj):
+            got = connected(adj)
+            assert got == census._mask_graph(len(adj), adj).is_connected(), adj
+            tally[got] += 1
+            return got
+
+        monkeypatch.setattr(census, "_mask_connected", checked)
+        for n in range(1, 8):
+            for _ in census._levels(n):
+                pass
+        # graphs on 1..7 vertices (OEIS A000088), connected ones A001349
+        assert tally[True] == 1 + 1 + 2 + 6 + 21 + 112 + 853
+        assert tally[False] == (1 + 2 + 4 + 11 + 34 + 156 + 1044) - tally[True]
+
     def test_domain(self):
         for bad in (3, 9):
             with pytest.raises(CensusError):
@@ -330,7 +356,9 @@ class TestCensus:
     def test_float_tie_of_a_non_tie_is_decided_exactly(self, monkeypatch):
         # F}rE? is the nearest non-tie at n = 7: K_e = 1571/77 and
         # K_nb = 5387/264, 1.3e-4 apart; equal floats must not tie it
-        monkeypatch.setattr(census, "kemeny_spectrum", lambda P: 20.4)
+        charpoly = census.kemeny_charpoly
+        monkeypatch.setattr(census, "kemeny_charpoly",
+                            lambda P: charpoly(P) if P.exact else 20.4)
         record = census._evaluate(parse_graph6("F}rE?"))
         assert (record.k_e, record.k_nb) == (20.4, 20.4)
         assert record.diff_sign == "nb_larger_or_equal"
@@ -338,16 +366,38 @@ class TestCensus:
     def test_exact_tie_survives_float_error(self, monkeypatch):
         # Fs`_o has K_e = K_nb = 33/2; a float K_nb off by 1e-8 relative
         # is beyond the float agreement bound, not beyond the screen
-        spectrum = census.kemeny_spectrum
+        charpoly = census.kemeny_charpoly
 
         def nudged(P):
-            k = spectrum(P)
-            return k * (1 + 1e-8) if P.kind == "non-backtracking" else k
+            k = charpoly(P)
+            if P.exact or P.kind != "non-backtracking":
+                return k
+            return k * (1 + 1e-8)
 
-        monkeypatch.setattr(census, "kemeny_spectrum", nudged)
+        monkeypatch.setattr(census, "kemeny_charpoly", nudged)
         record = census._evaluate(parse_graph6("Fs`_o"))
         assert record.k_nb != record.k_e
         assert record.diff_sign == "equal"
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_values_agree_with_spectral_route(self, n):
+        # the eigensolver shares no computation with the charpoly route
+        for r in census_nb_vs_edge(n).records:
+            g = parse_graph6(r.graph_id)
+            for walk, k in (("edge", r.k_e), ("non-backtracking", r.k_nb)):
+                spectral = kemeny_spectrum(build_matrix(g, walk))
+                assert agree(spectral, k, DEFAULT_TOL), (r, walk, spectral)
+                assert f"{spectral:.12g}" == f"{k:.12g}", (r, walk, spectral)
+
+    def test_bytes_lines_are_read_as_ascii(self):
+        # the lines of a file opened in binary mode, such as nauty's output
+        want = census_nb_vs_edge(["D~{", "D~{\n"])
+        assert len(want.records) == 2 and want.skipped == ()
+        assert census_nb_vs_edge([b"D~{", b"D~{\n"]) == want
+        result = census_nb_vs_edge([b"\xff"])
+        assert result.records == ()
+        assert result.skipped == (
+            ("\\xff", "non-ASCII graph6 byte (byte offset 0)"),)
 
     def test_stream_source(self):
         two_triangles = from_edge_list(
