@@ -269,8 +269,14 @@ def _cmd_census(args) -> int:
             raise CliError(str(exc))
         n_label: Optional[int] = args.n
     else:
-        text = _read_input(args.input)
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        # bytes lines from either source: the census skips one with a
+        # non-ASCII byte and counts the rest
+        if args.input == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+        lines = [ln for ln in data.splitlines() if ln.strip()]
         result = census_mod.census_nb_vs_edge(lines)
         n_label = None
     if result.skipped:

@@ -18,7 +18,10 @@ resistance K = d^T R d / (4m) for the vertex walk, from one inverse H of the
 The three walks of a graph (vertex, edge-space, non-backtracking) are tied
 together by ``kemeny_triple``, which runs every applicable route per walk,
 records disagreements, and checks the edge/vertex shift identity
-K_e = K_v + 2m - n, every check by one rule, ``agree``.
+K_e = K_v + 2m - n, every check by one rule, ``agree``.  A non-backtracking
+walk of more than ``EXACT_STATE_CAP`` states runs in one forked child beside
+the other two walks where a second CPU is idle for it, with the same routes
+and the same report bytes (see ``kemeny_triple``).
 
 Scalar mode
 -----------
@@ -43,10 +46,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -510,6 +517,111 @@ def agree(a: Scalar, b: Scalar, tol: float) -> bool:
     return abs(a - b) <= tol * scale * scale
 
 
+# ---------------------------------------------------------------------------
+# one walk in a forked child
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (``taskset -c 0`` leaves one), else all of the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one thread by the kernel's count, Linux's
+    ``/proc/self/task``, native threads (a BLAS pool's) included; False
+    where the count cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _can_fork() -> bool:
+    """Whether a walk may run in a forked child beside the caller: POSIX
+    fork, a second CPU to run it on, and no other thread.  A child would
+    inherit another thread's locks held.  A multithreaded BLAS already
+    spreads the float work over the CPUs, and two of its pools spinning on
+    the same CPUs ran CB(2,150,150)'s report 2-9x slower than one process
+    did (OpenBLAS with 2 threads on 2 cores)."""
+    return hasattr(os, "fork") and _cpu_count() > 1 and _single_threaded()
+
+
+def _child_main(work: Callable[[], object], read_fd: int, write_fd: int) -> None:
+    """The forked child's whole life: send (True, work()) or (False, the
+    exception it raised) down write_fd, pickled, then leave by ``os._exit``,
+    so it never unwinds into the caller's stack and never flushes the stdio
+    buffers it inherited.  An exception that does not survive pickling is
+    sent as an EngineError carrying its repr.  SIGINT is ignored: an
+    interrupt is the caller's to answer, by killing this process."""
+    status = 1
+    try:
+        os.close(read_fd)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            msg = (True, work())
+        except Exception as exc:
+            msg = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                msg = (False, EngineError(f"child process raised {exc!r}"))
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(msg, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _ForkedCall:
+    """work() run in a child forked now, a snapshot of the caller at this
+    moment (monkeypatched names included), while the caller goes on.
+
+    ``result()`` reads the child's answer, reaps it and returns work()'s
+    value or raises its exception, with the same type and message; a child
+    that dies without an answer (killed, out of memory) raises EngineError
+    with its exit status.  ``close()`` kills and reaps a child that
+    ``result()`` has not reaped, so no process outlives the caller's
+    ``finally``.
+    """
+
+    def __init__(self, work: Callable[[], object]):
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid: Optional[int] = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            _child_main(work, read_fd, write_fd)
+        os.close(write_fd)
+        # the child holds the only write end, so a read ends at its exit
+        self._reader = os.fdopen(read_fd, "rb")
+
+    def result(self):
+        data = self._reader.read()
+        self._reader.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            raise EngineError(f"child process exited with status "
+                              f"{os.waitstatus_to_exitcode(status)} before sending a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        self._reader.close()
+        if self.pid is not None:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def kemeny_triple(
     g: Graph,
     mode: str = "auto",
@@ -533,6 +645,19 @@ def kemeny_triple(
     Returns
     -------
     KemenyReport
+
+    Notes
+    -----
+    When the non-backtracking walk has more than ``EXACT_STATE_CAP`` states
+    and ``_can_fork()`` holds (more than one CPU in the affinity set, and
+    one thread in this process by the kernel's count, which Linux gives:
+    no other Python thread and no multithreaded BLAS pool), a child forked
+    before the walk loop builds that chain and runs ``_run_routes`` on it,
+    while this process computes the vertex and edge walks; the loop then
+    takes the child's result.  The values, the checks and the report bytes
+    are those of the in-process run.  An exception in the child is raised
+    here, and the child is killed and reaped before this function returns
+    or raises.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -555,12 +680,23 @@ def kemeny_triple(
     residuals: dict[str, float] = {}
     spreads: dict[str, float] = {}
     modes: dict[str, str] = {}
-    for walk, states, build in walks:
-        exact = use_exact(states)
-        P = build(g, exact=exact)
-        routes[walk], spreads[walk] = _run_routes(P, g if walk == "vertex" else None)
-        residuals[walk] = _max_pairwise(routes[walk])
-        modes[walk] = "exact" if exact else "float"
+    child = None
+    if nb_omitted is None and 2 * g.m > EXACT_STATE_CAP and _can_fork():
+        nb_exact = use_exact(2 * g.m)
+        child = _ForkedCall(lambda: _run_routes(nb_transition(g, exact=nb_exact)))
+    try:
+        for walk, states, build in walks:
+            exact = use_exact(states)
+            if walk == "non-backtracking" and child is not None:
+                routes[walk], spreads[walk] = child.result()
+            else:
+                P = build(g, exact=exact)
+                routes[walk], spreads[walk] = _run_routes(P, g if walk == "vertex" else None)
+            residuals[walk] = _max_pairwise(routes[walk])
+            modes[walk] = "exact" if exact else "float"
+    finally:
+        if child is not None:
+            child.close()
     k_vertex = routes["vertex"]["mfpt"]
     k_edge = routes["edge"]["mfpt"]
     k_nb = routes["non-backtracking"]["mfpt"] if nb_omitted is None else None

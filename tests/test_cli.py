@@ -183,7 +183,8 @@ class TestCompute:
         assert code == 1 and out == ""
         assert "--input" in err
 
-    @pytest.mark.parametrize("command", ["compute", "census"])
+    # a census skips such a line instead (TestCensus.test_non_ascii_line_skipped)
+    @pytest.mark.parametrize("command", ["compute"])
     def test_non_ascii_file(self, capsys, tmp_path, command):
         path = tmp_path / "bad.g6"
         path.write_bytes(b"\xff\n")
@@ -438,6 +439,23 @@ class TestCensus:
         assert code == 0
         payload = json.loads(out)
         assert payload["total"] + len(err.strip().split("\n")) >= 3
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_ascii_line_skipped(self, capsys, tmp_path, monkeypatch, source):
+        # one rule for both sources: the bad line is skipped, K5 is counted
+        data = b"D~{\n\xff\n"
+        if source == "file":
+            path = tmp_path / "mixed.g6"
+            path.write_bytes(data)
+            arg = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            arg = "-"
+        code, out, err = invoke(capsys, "census", "--input", arg)
+        assert code == 0, err
+        assert json.loads(out) == {"n": 5, "total": 1, "count_nb_ge_e": 1,
+                                   "equal_list": []}
+        assert "\\xff: non-ASCII graph6 byte (byte offset 0)" in err
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = invoke(capsys, "census")

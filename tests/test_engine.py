@@ -8,7 +8,11 @@ graphs are checked against conftest.oracle_kemeny, which takes one masked
 passage-time solve per target, a construction the engine does not share.
 """
 
+import os
 import random
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -740,3 +744,118 @@ class TestTriple:
         d = json.loads(rep.to_json())
         assert d["kemeny"]["non-backtracking"] == "133/12"
         assert d["failed"] is False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the nb walk forks only on POSIX")
+class TestForkedWalk:
+    # above EXACT_STATE_CAP arc states the nb walk runs in a forked child;
+    # the CPU and thread counts are patched to take each path on any
+    # machine, a multithreaded BLAS included
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_single_threaded", lambda: True)
+        return calls
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("g", [
+        gen_cycle_barbell(100, 4, 4),
+        gen_cycle_barbell(2, 150, 150),
+        random_cubic(66, random.Random(20261020)),  # 2m = 198
+    ], ids=["CB(100,4,4)", "CB(2,150,150)", "cubic66"])
+    def test_child_and_in_process_bytes_match(self, g, forks, monkeypatch):
+        forked = kemeny_triple(g, mode="float").to_json()
+        assert len(forks) == 1
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+        assert kemeny_triple(g, mode="float").to_json() == forked
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_child_error_comes_back(self, forks, monkeypatch):
+        def failing(g, exact):
+            raise EngineError(f"nb chain refused in process {os.getpid()}")
+
+        monkeypatch.setattr(engine, "nb_transition", failing)
+        with pytest.raises(EngineError, match="nb chain refused") as exc:
+            kemeny_triple(gen_cycle_barbell(100, 4, 4), mode="float")
+        assert str(os.getpid()) not in str(exc.value)
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_unpicklable_error_becomes_engine_error(self, forks, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def failing(g, exact):
+            raise Local("not sendable")
+
+        monkeypatch.setattr(engine, "nb_transition", failing)
+        with pytest.raises(EngineError, match="Local.*not sendable"):
+            kemeny_triple(gen_cycle_barbell(100, 4, 4), mode="float")
+        self.assert_no_child_left()
+
+    def test_killed_child_names_its_status(self, forks, monkeypatch):
+        def killed(g, exact):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(engine, "nb_transition", killed)
+        with pytest.raises(EngineError, match=f"status {-signal.SIGKILL}"):
+            kemeny_triple(gen_cycle_barbell(100, 4, 4), mode="float")
+        self.assert_no_child_left()
+
+    def test_interrupted_caller_kills_its_child(self, forks, monkeypatch):
+        # the child would sleep for a minute; the caller's finally ends it
+        def slow(g, exact):
+            time.sleep(60)
+
+        def interrupted(g, exact):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "nb_transition", slow)
+        monkeypatch.setattr(engine, "edge_transition", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            kemeny_triple(gen_cycle_barbell(100, 4, 4), mode="float")
+        assert time.monotonic() - start < 30
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("mode", ["auto", "exact", "float"])
+    def test_small_reports_never_fork(self, mode, monkeypatch):
+        def no_fork():
+            raise AssertionError("a report with at most 64 states per walk forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "_single_threaded", lambda: True)
+        g = gen_cycle_barbell(2, 15, 15)  # 2m = 62
+        assert not kemeny_triple(g, mode=mode).failed
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked beside a running thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert not engine._single_threaded()
+            assert not kemeny_triple(gen_cycle_barbell(100, 4, 4), mode="float").failed
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
