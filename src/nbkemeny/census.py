@@ -9,9 +9,12 @@ one non-edge per orbit of the automorphisms the canonical search proves
 J. Algorithms 1998; the pruned children would never have been first), the
 edge-vs-non-backtracking comparison census over the enumerated graphs on
 which that walk exists or over an externally supplied graph6 corpus, and
-the balanced cycle-barbell sweep.  The enumerator searches in one child
-process, a level ahead of the caller, so a census evaluates one level
-while the next is being found.  Census values are computed with the
+the balanced cycle-barbell sweep.  The enumerator searches in one forked
+child (``engine._ForkedStream``, the engine's large-walk child), a level
+ahead of the caller, so a census evaluates one level while the next is
+being found; where ``engine._can_fork()`` fails (one CPU, or no Linux
+thread count: macOS and Windows) it searches in this process, with the
+same graphs and bytes.  Census values are computed with the
 float charpoly route (one inverse per walk, no eigensolve), and
 near-ties are decided by the exact charpoly route; the tests check the
 values on n <= 7 vertices against the spectral route and spot-check the
@@ -27,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .chains import build_matrix, nb_walk_defect
 from .engine import (
-    DEFAULT_TOL, EXACT_STATE_CAP, agree, kemeny_charpoly,
+    DEFAULT_TOL, EXACT_STATE_CAP, _can_fork, _ForkedStream, agree, kemeny_charpoly,
 )
 from .formulas import barbell_kemeny
 from .graphs import (
@@ -262,21 +265,6 @@ def _levels(n: int) -> Iterator[list]:
         level = nxt
 
 
-def _send_levels(n: int, conn) -> None:
-    # the enumeration process: one message per level, then None; an error
-    # ends the stream in place of None.  An interrupt is the caller's to
-    # answer, by terminating this process.
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        for rows in _levels(n):
-            conn.send(rows)
-    except Exception as exc:
-        conn.send(exc)
-    else:
-        conn.send(None)
-
-
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of connected graphs
     on n vertices (OEIS A001349 counts them).
@@ -293,46 +281,30 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     every class keeps the representative that augmenting every non-edge
     would keep, and the yielded graphs and their order do not change.
 
-    The search runs in one child process (``multiprocessing``, default
-    start method), which sends each level's adjacency rows down a pipe as
-    soon as it has them and goes on to the next level while the caller
-    consumes this one: enumeration and the caller's work share two cores.
-    The child is terminated and joined when the generator finishes, is
-    closed or is left by an exception; an error in the child is raised
-    here, and so is its exit before the last level.
+    Where ``engine._can_fork()`` holds (POSIX fork, a readable kernel
+    thread count, which Linux gives, and more than one CPU) the search
+    runs in one forked child, an ``engine._ForkedStream``, which sends
+    each level's adjacency rows down a pipe as soon as it has them and
+    goes on to the next level while the caller consumes this one:
+    enumeration and the caller's work share two cores.  A BLAS pool does
+    not stop it, since the search makes no BLAS call.  The child is killed
+    and reaped when the generator finishes, is closed or is left by an
+    exception; an error in the child is raised here, and so is its exit
+    before the last level (CensusError).  Elsewhere the levels are
+    searched in this process, one after another, with the same graphs.
     """
     if not 4 <= n <= 8:
         raise CensusError(
             f"built-in enumeration covers 4 <= n <= 8, not n={n}; "
             "feed a graph6 corpus instead")
-    # imported here so that importing the package does not load it
-    import multiprocessing
-
-    recv_end, send_end = multiprocessing.Pipe(duplex=False)
-    child = multiprocessing.Process(target=_send_levels, args=(n, send_end), daemon=True)
-    child.start()
-    # the child holds the only write end left, so a receive after it has
-    # gone raises EOFError instead of waiting
-    send_end.close()
+    child = _ForkedStream(lambda: _levels(n), CensusError) if _can_fork() else None
     try:
-        while True:
-            try:
-                rows = recv_end.recv()
-            except EOFError:
-                child.join()
-                raise CensusError(
-                    f"enumeration process exited with code {child.exitcode} "
-                    "before finishing") from None
-            if rows is None:
-                return
-            if isinstance(rows, Exception):
-                raise rows
+        for rows in _levels(n) if child is None else child:
             for adj in rows:
                 yield _mask_graph(n, adj)
     finally:
-        child.terminate()
-        child.join()
-        recv_end.close()
+        if child is not None:
+            child.close()
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,15 @@ def _int_list(what: str, text: Optional[str], arity: int) -> list[int]:
     return [int(p) for p in parts]
 
 
-def _read_input(path: str):
+def _input_lines(path: str) -> list:
+    """The non-blank lines, as bytes, of the file at ``--input``, or of
+    stdin for ``-``: both sources are read alike."""
     if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise CliError(f"malformed graph6 in {path!r}: non-ASCII byte at offset {exc.start}")
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return [ln for ln in data.splitlines() if ln.strip()]
 
 
 def _graph_from_args(spec: Optional[str], path: Optional[str]) -> graphs.Graph:
@@ -98,12 +99,13 @@ def _graph_from_args(spec: Optional[str], path: Optional[str]) -> graphs.Graph:
     if spec and path:
         raise CliError("give the graph as an argument or with --input, not both")
     if path:
-        text = _read_input(path)
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = _input_lines(path)
         if not lines:
             raise CliError(f"no graph6 line found in {path!r}")
         try:
-            return graphs.parse_graph6(lines[0])
+            return graphs.parse_graph6(lines[0].decode("ascii"))
+        except UnicodeDecodeError as exc:
+            raise CliError(f"malformed graph6 in {path!r}: non-ASCII byte at offset {exc.start}")
         except graphs.GraphError as exc:
             raise CliError(f"malformed graph6 in {path!r}: {exc}")
     if not spec:
@@ -269,15 +271,8 @@ def _cmd_census(args) -> int:
             raise CliError(str(exc))
         n_label: Optional[int] = args.n
     else:
-        # bytes lines from either source: the census skips one with a
-        # non-ASCII byte and counts the rest
-        if args.input == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            with open(args.input, "rb") as fh:
-                data = fh.read()
-        lines = [ln for ln in data.splitlines() if ln.strip()]
-        result = census_mod.census_nb_vs_edge(lines)
+        # the census skips a line with a non-ASCII byte and counts the rest
+        result = census_mod.census_nb_vs_edge(_input_lines(args.input))
         n_label = None
     if result.skipped:
         print(f"note: skipped {len(result.skipped)} unqualified graph(s)",

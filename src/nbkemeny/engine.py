@@ -21,7 +21,9 @@ records disagreements, and checks the edge/vertex shift identity
 K_e = K_v + 2m - n, every check by one rule, ``agree``.  A non-backtracking
 walk of more than ``EXACT_STATE_CAP`` states runs in one forked child beside
 the other two walks where a second CPU is idle for it, with the same routes
-and the same report bytes (see ``kemeny_triple``).
+and the same report bytes (see ``kemeny_triple``).  That child is a
+``_ForkedStream``, the package's one way to run work in another process;
+the census's graph search runs in one too.
 
 Scalar mode
 -----------
@@ -53,7 +55,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -518,7 +520,7 @@ def agree(a: Scalar, b: Scalar, tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# one walk in a forked child
+# work in a forked child
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity set where the platform
@@ -528,65 +530,76 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _single_threaded() -> bool:
-    """Whether this process runs one thread by the kernel's count, Linux's
-    ``/proc/self/task``, native threads (a BLAS pool's) included; False
+def _thread_count() -> Optional[int]:
+    """This process's threads by the kernel's count, Linux's
+    ``/proc/self/task``, native threads (a BLAS pool's) included; None
     where the count cannot be read."""
     try:
-        return len(os.listdir("/proc/self/task")) == 1
+        return len(os.listdir("/proc/self/task"))
     except OSError:
-        return False
+        return None
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one thread by the kernel's count; False
+    where the count cannot be read."""
+    return _thread_count() == 1
 
 
 def _can_fork() -> bool:
-    """Whether a walk may run in a forked child beside the caller: POSIX
-    fork, a second CPU to run it on, and no other thread.  A child would
-    inherit another thread's locks held.  A multithreaded BLAS already
-    spreads the float work over the CPUs, and two of its pools spinning on
-    the same CPUs ran CB(2,150,150)'s report 2-9x slower than one process
-    did (OpenBLAS with 2 threads on 2 cores)."""
-    return hasattr(os, "fork") and _cpu_count() > 1 and _single_threaded()
+    """Whether work may run in a forked child beside the caller: POSIX
+    fork, the kernel's thread count readable (Linux; elsewhere, macOS
+    among them, everything stays in one process), and a second CPU to
+    run the child on."""
+    return hasattr(os, "fork") and _thread_count() is not None and _cpu_count() > 1
 
 
-def _child_main(work: Callable[[], object], read_fd: int, write_fd: int) -> None:
-    """The forked child's whole life: send (True, work()) or (False, the
-    exception it raised) down write_fd, pickled, then leave by ``os._exit``,
-    so it never unwinds into the caller's stack and never flushes the stdio
-    buffers it inherited.  An exception that does not survive pickling is
-    sent as an EngineError carrying its repr.  SIGINT is ignored: an
-    interrupt is the caller's to answer, by killing this process."""
+def _child_main(items: Callable[[], Iterable], error: type, read_fd: int, write_fd: int) -> None:
+    """The forked child's whole life: send ("item", x) for each x of
+    items(), then ("end", None) or ("raised", the exception it raised),
+    each pickled whole before it is written, down write_fd, then leave by
+    ``os._exit``, so it never unwinds into the caller's stack and never
+    flushes the stdio buffers it inherited.  An exception that does not
+    survive pickling is sent as an ``error`` carrying its repr.  SIGINT
+    is ignored: an interrupt is the caller's to answer, by killing this
+    process."""
     status = 1
     try:
         os.close(read_fd)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        try:
-            msg = (True, work())
-        except Exception as exc:
-            msg = (False, exc)
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                msg = (False, EngineError(f"child process raised {exc!r}"))
         with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(msg, fh)
+            try:
+                for item in items():
+                    fh.write(pickle.dumps(("item", item)))
+                    fh.flush()
+                msg = pickle.dumps(("end", None))
+            except Exception as exc:
+                try:
+                    msg = pickle.dumps(("raised", exc))
+                    pickle.loads(msg)
+                except Exception:
+                    msg = pickle.dumps(("raised", error(f"child process raised {exc!r}")))
+            fh.write(msg)
         status = 0
     finally:
         os._exit(status)
 
 
-class _ForkedCall:
-    """work() run in a child forked now, a snapshot of the caller at this
-    moment (monkeypatched names included), while the caller goes on.
+class _ForkedStream:
+    """The items of items() produced in a child forked now, a snapshot of
+    the caller at this moment (monkeypatched names included), while the
+    caller goes on.
 
-    ``result()`` reads the child's answer, reaps it and returns work()'s
-    value or raises its exception, with the same type and message; a child
-    that dies without an answer (killed, out of memory) raises EngineError
-    with its exit status.  ``close()`` kills and reaps a child that
-    ``result()`` has not reaped, so no process outlives the caller's
-    ``finally``.
+    Iterating yields each item as soon as the child has sent it, and
+    reaps the child after its last one.  An exception in the child is
+    raised here with the same type and message, or as ``error`` with its
+    repr if it does not survive pickling; a child that dies before its end
+    message (killed, out of memory) raises ``error`` with its exit status.
+    ``close()`` kills and reaps a child that has not been reaped, so no
+    process outlives the caller's ``finally``.
     """
 
-    def __init__(self, work: Callable[[], object]):
+    def __init__(self, items: Callable[[], Iterable], error: type = EngineError):
         read_fd, write_fd = os.pipe()
         try:
             self.pid: Optional[int] = os.fork()
@@ -595,23 +608,30 @@ class _ForkedCall:
             os.close(write_fd)
             raise
         if self.pid == 0:
-            _child_main(work, read_fd, write_fd)
+            _child_main(items, error, read_fd, write_fd)
         os.close(write_fd)
         # the child holds the only write end, so a read ends at its exit
         self._reader = os.fdopen(read_fd, "rb")
+        self._error = error
 
-    def result(self):
-        data = self._reader.read()
-        self._reader.close()
+    def _reap(self) -> int:
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if not data:
-            raise EngineError(f"child process exited with status "
-                              f"{os.waitstatus_to_exitcode(status)} before sending a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
+        return os.waitstatus_to_exitcode(status)
+
+    def __iter__(self) -> Iterator:
+        while True:
+            try:
+                kind, value = pickle.load(self._reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise self._error(f"child process exited with status {self._reap()} "
+                                  "before finishing") from None
+            if kind != "item":
+                self._reap()
+                if kind == "raised":
+                    raise value
+                return
+            yield value
 
     def close(self) -> None:
         self._reader.close()
@@ -648,16 +668,19 @@ def kemeny_triple(
 
     Notes
     -----
-    When the non-backtracking walk has more than ``EXACT_STATE_CAP`` states
-    and ``_can_fork()`` holds (more than one CPU in the affinity set, and
-    one thread in this process by the kernel's count, which Linux gives:
-    no other Python thread and no multithreaded BLAS pool), a child forked
-    before the walk loop builds that chain and runs ``_run_routes`` on it,
-    while this process computes the vertex and edge walks; the loop then
-    takes the child's result.  The values, the checks and the report bytes
-    are those of the in-process run.  An exception in the child is raised
-    here, and the child is killed and reaped before this function returns
-    or raises.
+    When the non-backtracking walk has more than ``EXACT_STATE_CAP`` states,
+    ``_can_fork()`` holds (POSIX fork, a readable kernel thread count, which
+    Linux gives, and more than one CPU in the affinity set) and this
+    process runs one thread by that count, a one-item ``_ForkedStream``
+    forked before the walk loop builds that chain and runs ``_run_routes``
+    on it, while this process computes the vertex and edge walks.  Another
+    thread's locks would be inherited held, and a multithreaded BLAS
+    already spreads the float work over the CPUs: two of its pools on the
+    same CPUs ran CB(2,150,150)'s report 2-9x slower than one process did
+    (OpenBLAS, 2 threads, 2 cores).  The values, the checks and the report
+    bytes are those of the in-process run.  An exception in the child is
+    raised here, and the child is killed and reaped before this function
+    returns or raises.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -681,14 +704,15 @@ def kemeny_triple(
     spreads: dict[str, float] = {}
     modes: dict[str, str] = {}
     child = None
-    if nb_omitted is None and 2 * g.m > EXACT_STATE_CAP and _can_fork():
+    if (nb_omitted is None and 2 * g.m > EXACT_STATE_CAP
+            and _can_fork() and _single_threaded()):
         nb_exact = use_exact(2 * g.m)
-        child = _ForkedCall(lambda: _run_routes(nb_transition(g, exact=nb_exact)))
+        child = _ForkedStream(lambda: [_run_routes(nb_transition(g, exact=nb_exact))])
     try:
         for walk, states, build in walks:
             exact = use_exact(states)
             if walk == "non-backtracking" and child is not None:
-                routes[walk], spreads[walk] = child.result()
+                [(routes[walk], spreads[walk])] = child
             else:
                 P = build(g, exact=exact)
                 routes[walk], spreads[walk] = _run_routes(P, g if walk == "vertex" else None)

@@ -1,11 +1,13 @@
 """Canonical forms, the exhaustive census, and the barbell sweep."""
 
 import hashlib
-import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -38,7 +40,7 @@ from nbkemeny import (
     sweep_skipped,
     to_graph6,
 )
-from nbkemeny import census
+from nbkemeny import census, engine
 from nbkemeny.engine import DEFAULT_TOL, agree
 
 import census_reference as reference
@@ -257,30 +259,32 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
-FORK = multiprocessing.get_start_method() == "fork"
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestEnumerationProcess:
-    """The search runs in one child process, which outlives no call."""
+    """The search runs in one forked child, which outlives no call, or in
+    this process where no child may be forked."""
 
     def test_no_child_after_census(self, alarm):
         assert census_nb_vs_edge(6).count == 18
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_no_child_after_close(self, alarm):
         graphs = enumerate_graphs(8)
         next(graphs)
         graphs.close()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_no_child_after_consumer_error(self, alarm):
         with pytest.raises(ZeroDivisionError):
             for i, g in enumerate(enumerate_graphs(7)):
                 if i == 100:
                     1 / 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    @pytest.mark.skipif(not FORK, reason="a spawned child does not see the patch")
     def test_child_error_reaches_caller(self, alarm, monkeypatch):
         def broken(n):
             yield [(0,) * n]
@@ -292,14 +296,26 @@ class TestEnumerationProcess:
             for g in enumerate_graphs(6):
                 seen.append(g)
         assert seen == [census._mask_graph(6, (0,) * 6)]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    @pytest.mark.skipif(not FORK, reason="a spawned child does not see the patch")
-    def test_silent_child_death_reaches_caller(self, alarm, monkeypatch):
-        monkeypatch.setattr(census, "_send_levels", lambda n, queue: os._exit(3))
-        with pytest.raises(CensusError, match="exited with code 3"):
+    def test_unpicklable_child_error_becomes_census_error(self, alarm, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def broken(n):
+            raise Local("not sendable")
+            yield
+
+        monkeypatch.setattr(census, "_levels", broken)
+        with pytest.raises(CensusError, match="Local.*not sendable"):
             list(enumerate_graphs(6))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_silent_child_death_reaches_caller(self, alarm, monkeypatch):
+        monkeypatch.setattr(census, "_levels", lambda n: os._exit(3))
+        with pytest.raises(CensusError, match="exited with status 3"):
+            list(enumerate_graphs(6))
+        assert_no_child_left()
 
     def test_child_changes_no_value(self):
         # the same graphs evaluated in this process, floats compared exactly
@@ -311,6 +327,31 @@ class TestEnumerationProcess:
                     want.append(census._evaluate(g))
         want.sort(key=lambda r: (r.n, r.m, r.graph_id))
         assert census_nb_vs_edge(7).records == tuple(want)
+
+    def test_in_process_search_without_fork(self, monkeypatch):
+        # one CPU: no fork is attempted, and the records are the child's
+        forked = census_nb_vs_edge(7).records
+
+        def no_fork():
+            raise AssertionError("the census forked on one CPU")
+
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert census_nb_vs_edge(6).count == 18
+        assert census_nb_vs_edge(7).records == forked
+
+    def test_census_never_imports_multiprocessing(self):
+        code = ("import sys\n"
+                "from nbkemeny import census_nb_vs_edge\n"
+                "assert census_nb_vs_edge(5).count == 10\n"
+                "print('multiprocessing' in sys.modules)\n")
+        env = dict(os.environ)
+        src = str(Path(census.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCensus:

@@ -123,7 +123,8 @@ class TestCompute:
         assert json.loads(out)["kemeny"]["vertex"] == "9/4"
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(gen_complete(4))))
+        data = to_graph6(gen_complete(4)).encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
         code, out, _ = invoke(capsys, "compute", "--input", "-")
         assert code == 0
         assert json.loads(out)["kemeny"]["edge"] == "41/4"
@@ -184,13 +185,20 @@ class TestCompute:
         assert "--input" in err
 
     # a census skips such a line instead (TestCensus.test_non_ascii_line_skipped)
-    @pytest.mark.parametrize("command", ["compute"])
-    def test_non_ascii_file(self, capsys, tmp_path, command):
-        path = tmp_path / "bad.g6"
-        path.write_bytes(b"\xff\n")
-        code, _, err = invoke(capsys, command, "--input", str(path))
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_ascii_file(self, capsys, tmp_path, monkeypatch, source):
+        data = b"\xff\n"
+        if source == "file":
+            path = tmp_path / "bad.g6"
+            path.write_bytes(data)
+            arg = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            arg = "-"
+        code, _, err = invoke(capsys, "compute", "--input", arg)
         assert code == 1
-        assert err.startswith("error:") and str(path) in err
+        assert err.startswith("error:") and repr(arg) in err
+        assert "non-ASCII byte at offset 0" in err
         assert "Traceback" not in err
 
     def test_impossible_tolerance_fails_crosscheck(self, capsys):
