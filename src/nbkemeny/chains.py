@@ -1,17 +1,19 @@
 """Transition and incidence matrices for the three random walks.
 
 The vertex walk lives on the n vertices; the edge-space and non-backtracking
-walks live on the 2m oriented edges (arcs).  Arcs are ordered
-lexicographically by (tail, head), which fixes the layout of every
-2m-dimensional matrix in the package.
+walks live on the 2m oriented edges (arcs).  ``_arcs`` owns the arc layout:
+arcs sorted by (tail, head), which fixes every 2m-dimensional matrix in the
+package and ``OrientedEdgeIndex``.
 
-All builders take an ``exact`` flag and write into an array of that mode:
-an object-dtype array of ints and Fractions, or a float64 array, where the
-integer entries convert on assignment.  The array's dtype is the mode.
+Every builder makes an integer 0/1 pattern from the arc arrays, by
+broadcasting or indexing, and casts it to the mode of its ``exact`` flag: an
+object-dtype array of ints and Fractions, or a float64 array.  The array's
+dtype is the mode.  A walk is its step pattern over the row sums (``_walk``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,30 +45,23 @@ class OrientedEdgeIndex:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "OrientedEdgeIndex":
-        arcs = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
-        pos = {a: i for i, a in enumerate(arcs)}
-        rev = tuple(pos[(v, u)] for u, v in arcs)
-        tails: dict[int, list[int]] = {}
-        for b, (x, _) in enumerate(arcs):
-            tails.setdefault(x, []).append(b)
-        succ = tuple(tuple(tails[v]) for _, v in arcs)
-        return cls(tuple(arcs), rev, succ)
+        tail, head = _arcs(g)
+        key = tail * g.n + head  # ascending, since the arcs are sorted
+        rev = np.searchsorted(key, head * g.n + tail)
+        # the arcs leaving vertex v are those from start[v] to start[v + 1]
+        start = np.searchsorted(tail, np.arange(g.n + 1)).tolist()
+        leaving = [tuple(range(lo, hi)) for lo, hi in zip(start, start[1:])]
+        return cls(tuple(zip(tail.tolist(), head.tolist())), tuple(rev.tolist()),
+                   tuple(leaving[v] for v in head.tolist()))
 
     def __len__(self) -> int:
         return len(self.arcs)
 
     def position(self, u: int, v: int) -> int:
-        lo, hi = 0, len(self.arcs)
-        a = (u, v)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.arcs[mid] < a:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.arcs) or self.arcs[lo] != a:
-            raise KeyError(f"arc {a} not in graph")
-        return lo
+        i = bisect_left(self.arcs, (u, v))
+        if i == len(self.arcs) or self.arcs[i] != (u, v):
+            raise KeyError(f"arc {(u, v)} not in graph")
+        return i
 
 
 @dataclass(frozen=True)
@@ -121,45 +116,67 @@ def integer_rows(M: np.ndarray) -> tuple[np.ndarray | int, np.ndarray]:
     return np.array(e, dtype=object), np.array(F, dtype=object)
 
 
-def _zeros(rows: int, cols: int, exact: bool) -> np.ndarray:
-    if exact:
-        return np.full((rows, cols), 0, dtype=object)
-    return np.zeros((rows, cols))
+def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) int arrays of the 2m arcs, sorted by (tail, head)."""
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    tail, head = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((head, tail))
+    return tail[order], head[order]
 
 
-def _one(exact: bool) -> Fraction | float:
-    """1 in the scalar mode, to divide into transition weights.  Writing
-    Fractions into float64 arrays would call ``__float__`` per entry, several
-    times slower; the census builds two float arc matrices per graph."""
-    return Fraction(1) if exact else 1.0
+def _scalars(M: np.ndarray, exact: bool) -> np.ndarray:
+    """An integer pattern in the scalar mode: Python ints in an object
+    array, or float64."""
+    M = M.astype(np.intp)
+    return M.astype(object) if exact else M.astype(float)
+
+
+def _walk(kind: str, F: np.ndarray, exact: bool) -> ChainMatrix:
+    """The walk diag(e)^{-1} F of a 0/1 step pattern F with row sums e: F / e
+    in float mode; in exact mode one Fraction(1, e_i) per row, written on
+    row i's nonzeros, and int zeros elsewhere."""
+    e = F.sum(axis=1)
+    if not exact:
+        return ChainMatrix(kind, F / e[:, None])
+    P = _scalars(F, exact)
+    rows, cols = np.nonzero(F)
+    P[rows, cols] = np.frompyfunc(Fraction, 2, 1)(1, e.astype(object))[rows]
+    return ChainMatrix(kind, P)
+
+
+def _refuse_isolated(g: Graph, walk: str) -> None:
+    if 0 in g.degrees:
+        raise ChainError(f"vertex {g.degrees.index(0)} is isolated; the {walk} walk is undefined")
+
+
+def _adjacency(g: Graph) -> np.ndarray:
+    A = np.zeros((g.n, g.n), dtype=np.intp)
+    A[_arcs(g)] = 1
+    return A
+
+
+def _steps(g: Graph, non_backtracking: bool) -> np.ndarray:
+    """Arc a -> arc b iff b starts where a ends, and for the
+    non-backtracking walk b is not a's reversal."""
+    tail, head = _arcs(g)
+    F = head[:, None] == tail[None, :]
+    if non_backtracking:
+        F &= tail[:, None] != head[None, :]
+    return F
 
 
 def adjacency_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
-    A = _zeros(g.n, g.n, exact)
-    for u, v in g.edges:
-        A[u, v] = 1
-        A[v, u] = 1
-    return ChainMatrix("adjacency", A)
+    return ChainMatrix("adjacency", _scalars(_adjacency(g), exact))
 
 
 def degree_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
-    D = _zeros(g.n, g.n, exact)
-    for v in range(g.n):
-        D[v, v] = g.degrees[v]
-    return ChainMatrix("degree", D)
+    return ChainMatrix("degree", _scalars(np.diag(g.degrees), exact))
 
 
 def vertex_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     """Simple random walk matrix P = D^{-1} A."""
-    iso = [v for v in range(g.n) if g.degrees[v] == 0]
-    if iso:
-        raise ChainError(f"vertex {iso[0]} is isolated; the vertex walk is undefined")
-    P = _zeros(g.n, g.n, exact)
-    one = _one(exact)
-    for u, v in g.edges:
-        P[u, v] = one / g.degrees[u]
-        P[v, u] = one / g.degrees[v]
-    return ChainMatrix("vertex", P)
+    _refuse_isolated(g, "vertex")
+    return _walk("vertex", _adjacency(g), exact)
 
 
 def incidence_operators(g: Graph, exact: bool = False) -> tuple[ChainMatrix, ChainMatrix, ChainMatrix]:
@@ -169,71 +186,39 @@ def incidence_operators(g: Graph, exact: bool = False) -> tuple[ChainMatrix, Cha
     T(u, a) = 1 iff arc a starts at u; S(a, w) = 1 iff arc a ends at w;
     tau maps each arc to its reversal.  These satisfy A = T S and C = S T.
     """
-    idx = OrientedEdgeIndex.from_graph(g)
-    two_m = len(idx)
-    T = _zeros(g.n, two_m, exact)
-    S = _zeros(two_m, g.n, exact)
-    tau = _zeros(two_m, two_m, exact)
-    for a, (u, v) in enumerate(idx.arcs):
-        T[u, a] = 1
-        S[a, v] = 1
-        tau[a, idx.rev[a]] = 1
+    tail, head = _arcs(g)
+    vertices = np.arange(g.n)
+    T = vertices[:, None] == tail[None, :]
+    S = head[:, None] == vertices[None, :]
+    tau = (tail[:, None] == head[None, :]) & (head[:, None] == tail[None, :])
     return (
-        ChainMatrix("incidence-T", T),
-        ChainMatrix("incidence-S", S),
-        ChainMatrix("reversal", tau),
+        ChainMatrix("incidence-T", _scalars(T, exact)),
+        ChainMatrix("incidence-S", _scalars(S, exact)),
+        ChainMatrix("reversal", _scalars(tau, exact)),
     )
-
-
-def _arc_matrix(g: Graph, exact: bool, *, non_backtracking: bool, stochastic: bool) -> np.ndarray:
-    """Arc-to-arc matrix over ``OrientedEdgeIndex.succ``: a -> b for every
-    arc b leaving a's head, except rev[a] when non-backtracking.  Entries
-    are 1, or 1/(number of such b) when stochastic."""
-    idx = OrientedEdgeIndex.from_graph(g)
-    two_m = len(idx)
-    M = _zeros(two_m, two_m, exact)
-    one = _one(exact)
-    w = 1
-    for a, nxt in enumerate(idx.succ):
-        if non_backtracking:
-            nxt = [b for b in nxt if b != idx.rev[a]]
-        if stochastic:
-            w = one / len(nxt)
-        for b in nxt:
-            M[a, b] = w
-    return M
 
 
 def edge_adjacency(g: Graph, exact: bool = False) -> ChainMatrix:
     """C = S T: arc a -> arc b allowed iff b starts where a ends."""
-    return ChainMatrix("edge-adjacency", _arc_matrix(
-        g, exact, non_backtracking=False, stochastic=False))
+    return ChainMatrix("edge-adjacency", _scalars(_steps(g, False), exact))
 
 
 def nb_adjacency(g: Graph, exact: bool = False) -> ChainMatrix:
     """B = S T - tau: edge adjacency with reversals forbidden."""
-    return ChainMatrix("nb-adjacency", _arc_matrix(
-        g, exact, non_backtracking=True, stochastic=False))
+    return ChainMatrix("nb-adjacency", _scalars(_steps(g, True), exact))
 
 
 def edge_degree_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
     """Diagonal D_e with the degree of each arc's head."""
-    idx = OrientedEdgeIndex.from_graph(g)
-    two_m = len(idx)
-    D = _zeros(two_m, two_m, exact)
-    for a, (_, v) in enumerate(idx.arcs):
-        D[a, a] = g.degrees[v]
-    return ChainMatrix("edge-degree", D)
+    _, head = _arcs(g)
+    return ChainMatrix("edge-degree", _scalars(np.diag(np.array(g.degrees)[head]), exact))
 
 
 def edge_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     """Edge-space walk P_e = D_e^{-1} C: step to a uniform arc out of the
     current arc's head (reversal allowed)."""
-    iso = [v for v in range(g.n) if g.degrees[v] == 0]
-    if iso:
-        raise ChainError(f"vertex {iso[0]} is isolated; the edge walk is undefined")
-    return ChainMatrix("edge", _arc_matrix(
-        g, exact, non_backtracking=False, stochastic=True))
+    _refuse_isolated(g, "edge")
+    return _walk("edge", _steps(g, False), exact)
 
 
 def nb_walk_defect(g: Graph) -> str | None:
@@ -259,8 +244,7 @@ def nb_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     defect = nb_walk_defect(g)
     if defect is not None:
         raise ChainError(defect)
-    return ChainMatrix("non-backtracking", _arc_matrix(
-        g, exact, non_backtracking=True, stochastic=True))
+    return _walk("non-backtracking", _steps(g, True), exact)
 
 
 # every named matrix, in the order ``kemeny matrices --kind`` lists them

@@ -46,6 +46,8 @@ builtin floats.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import math
 import os
@@ -54,7 +56,9 @@ import signal
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -540,10 +544,35 @@ def _thread_count() -> Optional[int]:
         return None
 
 
+@cache
+def _openblas_threads() -> Optional[Callable[[], int]]:
+    """The thread-count query of the OpenBLAS that numpy loaded, looked up
+    once; None where no known symbol is found (another BLAS, or another
+    layout than the wheel's ``numpy.libs``)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
 def _single_threaded() -> bool:
-    """Whether this process runs one thread by the kernel's count; False
-    where the count cannot be read."""
-    return _thread_count() == 1
+    """Whether this process runs one thread by the kernel's count and, where
+    its OpenBLAS answers, by that library's setting too; False where the
+    kernel's count cannot be read.  OpenBLAS stops its pool at a fork and
+    restarts it at its next threaded call, so a process that has forked
+    reads one kernel thread while its BLAS is still set to more."""
+    blas = _openblas_threads()
+    return _thread_count() == 1 and (blas is None or blas() == 1)
 
 
 def _can_fork() -> bool:
@@ -671,7 +700,8 @@ def kemeny_triple(
     When the non-backtracking walk has more than ``EXACT_STATE_CAP`` states,
     ``_can_fork()`` holds (POSIX fork, a readable kernel thread count, which
     Linux gives, and more than one CPU in the affinity set) and this
-    process runs one thread by that count, a one-item ``_ForkedStream``
+    process runs one thread by that count and by its OpenBLAS's setting
+    (``_single_threaded``), a one-item ``_ForkedStream``
     forked before the walk loop builds that chain and runs ``_run_routes``
     on it, while this process computes the vertex and edge walks.  Another
     thread's locks would be inherited held, and a multithreaded BLAS

@@ -287,6 +287,8 @@ def biregular_nb_kemeny(p: BiregularProfile, k_e: Scalar) -> Scalar:
     when k_e is a Fraction.
     """
     c, d, r, s, n, m = p.c, p.d, p.r, p.s, p.n, p.m
+    if c < 2:
+        raise FormulaError(f"a degree-{c} side: the non-backtracking walk needs min degree >= 2")
     if (c - 1) * (d - 1) == 1:
         raise FormulaError("both degrees are 2: the walk never branches")
     return (

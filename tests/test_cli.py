@@ -331,6 +331,13 @@ class TestClosedForm:
         payload = json.loads(out)
         assert float(payload["k_edge"]) == pytest.approx(10.5, abs=1e-9)
 
+    @pytest.mark.parametrize("spec", ["bipartite:1,3", "path:3"])
+    def test_biregular_star_rejected(self, capsys, spec):
+        # like `compute`, which has no non-backtracking walk to report here
+        code, out, err = invoke(capsys, "closed-form", "biregular", spec)
+        assert code == 1 and out == ""
+        assert "needs min degree >= 2" in err
+
     def test_csv_rendering(self, capsys):
         code, out, _ = invoke(capsys, "closed-form", "necklace", "10",
                               "--output", "csv")

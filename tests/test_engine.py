@@ -11,9 +11,12 @@ passage-time solve per target, a construction the engine does not share.
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -859,3 +862,52 @@ class TestForkedWalk:
             release.set()
             other.join(30)
         assert not other.is_alive()
+
+
+# a threaded BLAS call, then one fork, reaped, as the census's search child
+# leaves the process that started it
+_FORK_ONCE = """
+import os
+import numpy as np
+A = np.random.default_rng(0).random((400, 400))
+A @ A
+pid = os.fork()
+if pid == 0:
+    os._exit(0)
+os.waitpid(pid, 0)
+"""
+
+
+class TestForkRule:
+    # OpenBLAS stops its pool at a fork and restarts it at its next threaded
+    # call, so after a fork the kernel's count reads one thread while the
+    # BLAS is still set to more
+
+    def test_no_walk_child_beside_a_stopped_pool(self, monkeypatch):
+        blas = engine._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread-count symbol in numpy's libraries")
+        if blas() < 2:
+            pytest.skip("OpenBLAS is set to one thread")
+        exec(_FORK_ONCE, {})
+        assert not engine._single_threaded()
+
+        def no_fork():
+            raise AssertionError("forked beside a multithreaded BLAS")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        assert not kemeny_triple(gen_cycle_barbell(100, 4, 4), mode="float").failed
+
+    def test_one_thread_blas_keeps_the_walk_child(self):
+        # the bench's setting: compute-float runs its nb walk in a child
+        if engine._thread_count() is None:
+            pytest.skip("no kernel thread count on this platform")
+        code = _FORK_ONCE + "from nbkemeny import engine\nprint(engine._single_threaded())\n"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"

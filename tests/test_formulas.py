@@ -28,6 +28,7 @@ from nbkemeny import (
     gen_cycle,
     gen_cycle_barbell,
     gen_necklace,
+    gen_path,
     kemeny_mfpt,
     kemeny_spectrum,
     kemeny_triple,
@@ -230,6 +231,14 @@ class TestBiregular:
         p = biregular_profile(gen_cycle(4))
         with pytest.raises(FormulaError):
             biregular_nb_kemeny(p, F(1))
+
+    @pytest.mark.parametrize("g", [gen_complete_bipartite(1, 3), gen_path(3)],
+                             ids=["K13", "P3"])
+    def test_degree_one_side_rejected(self, g):
+        # a star has leaves: its non-backtracking walk does not exist
+        p = biregular_profile(g)
+        with pytest.raises(FormulaError, match="needs min degree >= 2"):
+            biregular_nb_kemeny(p, biregular_edge_kemeny(p))
 
 
 class TestBiregularBounds:
