@@ -3,22 +3,25 @@
 Provides a self-contained canonical form (equitable refinement with
 individualization, maximizing the relabeled adjacency bitstring), an
 isomorphism-free enumerator for the connected graphs on 4..8 vertices
-built on it, which keeps the first child seen per class and augments only
-one non-edge per orbit of the automorphisms the canonical search proves
-(isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998; the pruned children would never have been first), the
-edge-vs-non-backtracking comparison census over the enumerated graphs on
-which that walk exists or over an externally supplied graph6 corpus, and
-the balanced cycle-barbell sweep.  The enumerator searches in one forked
-child (``engine._ForkedStream``, the engine's large-walk child), a level
-ahead of the caller, so a census evaluates one level while the next is
-being found; where ``engine._can_fork()`` fails (one CPU, or no Linux
-thread count: macOS and Windows) it searches in this process, with the
-same graphs and bytes.  Census values are computed with the
-float charpoly route (one inverse per walk, no eigensolve), and
-near-ties are decided by the exact charpoly route; the tests check the
-values on n <= 7 vertices against the spectral route and spot-check the
-others.
+built on it, the edge-vs-non-backtracking comparison census over the
+enumerated graphs on which that walk exists or over an externally
+supplied graph6 corpus, and the balanced cycle-barbell sweep.  The
+enumerator is a depth-first canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): a parent adds one non-edge
+per orbit of the automorphisms its canonical search proves, and a child
+is kept only if the added edge is its canonical deletion edge up to its
+own automorphisms, so every class is found once, with one stack and no
+table of certificates.  It searches in one forked child
+(``engine._ForkedStream``, the engine's large-walk child), which sends
+each parent's children as soon as it has them, so a census evaluates
+while the search goes on; where ``engine._can_fork()`` fails (one CPU,
+or no Linux thread count: macOS and Windows) it searches in this
+process, with the same graphs and bytes.  Census values are computed
+with the float charpoly route (one inverse per walk, no eigensolve), K_e
+as K_v + 2m - n from the n-state vertex walk, and near-ties are decided
+by the exact charpoly route; the tests check the values on n <= 7
+vertices against the spectral route on the edge and non-backtracking
+walks and spot-check the others.
 """
 
 from __future__ import annotations
@@ -223,6 +226,22 @@ def _mask_connected(adj: Sequence[int]) -> bool:
     return seen == (1 << len(adj)) - 1
 
 
+def _close_orbit(seen: set, pair: tuple, generators: list) -> set:
+    """``seen`` with the orbit of the vertex pair (u, v), u < v, under the
+    group the automorphisms generate added to it."""
+    seen.add(pair)
+    stack = [pair]
+    while stack:
+        a, b = stack.pop()
+        for image in generators:
+            x, y = image[a], image[b]
+            pair = (x, y) if x < y else (y, x)
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return seen
+
+
 def _orbit_leaders(n: int, adj: Sequence[int], generators: list) -> Iterator[tuple]:
     """The first non-edge (u, v), in (u, v) loop order, of each orbit of
     non-edges under the group the automorphisms generate."""
@@ -232,74 +251,135 @@ def _orbit_leaders(n: int, adj: Sequence[int], generators: list) -> Iterator[tup
             if adj[u] >> v & 1 or (u, v) in covered:
                 continue
             yield u, v
-            covered.add((u, v))
-            stack = [(u, v)]
-            while stack:
-                a, b = stack.pop()
-                for image in generators:
-                    x, y = image[a], image[b]
-                    pair = (x, y) if x < y else (y, x)
-                    if pair not in covered:
-                        covered.add(pair)
-                        stack.append(pair)
+            _close_orbit(covered, (u, v), generators)
 
 
-def _levels(n: int) -> Iterator[list]:
-    """Each edge count's connected representatives, as adjacency-row
-    tuples in ascending order, from 0 edges up (see enumerate_graphs)."""
-    empty = (0,) * n
-    cert, _, generators = _canonical_core(n, empty)
-    level = {cert: (empty, generators)}
-    while level:
-        yield [adj for adj, _ in sorted(level.values())
-               if _mask_connected(adj)]
-        nxt = {}
-        for adj, generators in level.values():
-            for u, v in _orbit_leaders(n, adj, generators):
-                cand = list(adj)
-                cand[u] |= 1 << v
-                cand[v] |= 1 << u
-                cert, _, found = _canonical_core(n, cand)
-                if cert not in nxt:
-                    nxt[cert] = (tuple(cand), found)
-        level = nxt
+def _edge_keys(adj: Sequence[int]) -> list:
+    """Every edge (u, v), u < v, as ((min, max endpoint degree), u, v),
+    largest key first."""
+    deg = [row.bit_count() for row in adj]
+    keys = []
+    for u, row in enumerate(adj):
+        row &= -2 << u
+        while row:
+            low = row & -row
+            v = low.bit_length() - 1
+            a, b = deg[u], deg[v]
+            keys.append(((a, b) if a < b else (b, a), u, v))
+            row ^= low
+    keys.sort(reverse=True)
+    return keys
+
+
+def _outranked(keys: list, adj: Sequence[int], u: int, v: int) -> bool:
+    """Whether some other edge of the child ``adj`` (the parent plus
+    (u, v)) has a larger key than (u, v), read off the parent's ``keys``:
+    only edges at u or v change their key.  Such a child is never kept."""
+    du, dv = adj[u].bit_count(), adj[v].bit_count()
+    key = (du, dv) if du < dv else (dv, du)
+    for k, a, b in keys:
+        if a != u and a != v and b != u and b != v:
+            if k > key:
+                return True
+            break
+    for x, dx in ((u, du), (v, dv)):
+        row = adj[x] & ~(1 << u | 1 << v)
+        while row:
+            low = row & -row
+            dw = adj[low.bit_length() - 1].bit_count()
+            if ((dx, dw) if dx < dw else (dw, dx)) > key:
+                return True
+            row ^= low
+    return False
+
+
+def _deletion_matches(adj: Sequence[int], order: Sequence[int],
+                      generators: list, u: int, v: int) -> bool:
+    """Whether (u, v) lies in the orbit of the canonical deletion edge of
+    ``adj`` under the group ``generators`` generate: of the edges with the
+    largest key (min, max endpoint degree), the one latest (max pos, min
+    pos) in the canonical vertex ``order``."""
+    pos = [0] * len(order)
+    for i, w in enumerate(order):
+        pos[w] = i
+    best = None
+    for key, a, b in _edge_keys(adj):
+        if best is not None and key < best[0]:
+            break
+        late = (pos[a], pos[b]) if pos[a] > pos[b] else (pos[b], pos[a])
+        if best is None or late > best[1]:
+            best = (key, late, a, b)
+    return best[2:] == (u, v) or (u, v) in _close_orbit(set(), best[2:], generators)
+
+
+def _search(n: int) -> Iterator[list]:
+    """The connected graphs on n vertices, one per isomorphism class, as
+    lists of adjacency-row tuples: the empty graph's own list if it is
+    connected, then each parent's kept connected children, depth-first
+    (see enumerate_graphs).  Empty lists are not yielded."""
+    root = (0,) * n
+    if _mask_connected(root):
+        yield [root]
+    stack = [(root, _canonical_core(n, root)[2])]
+    while stack:
+        adj, generators = stack.pop()
+        keys = _edge_keys(adj)
+        kept = []
+        for u, v in _orbit_leaders(n, adj, generators):
+            child = list(adj)
+            child[u] |= 1 << v
+            child[v] |= 1 << u
+            if _outranked(keys, child, u, v):
+                continue
+            _, order, found = _canonical_core(n, child)
+            if _deletion_matches(child, order, found, u, v):
+                kept.append((tuple(child), found))
+        rows = [child for child, _ in kept if _mask_connected(child)]
+        if rows:
+            yield rows
+        stack.extend(reversed(kept))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of connected graphs
     on n vertices (OEIS A001349 counts them).
 
-    Built-in generation covers 4 <= n <= 8 by breadth-first edge
-    augmentation over canonical representatives; larger vertex counts
-    must come from an external graph6 corpus.  Each level keeps, per
-    canonical certificate, the first child seen in parent order and
-    (u, v) loop order, and yields the level's connected graphs sorted by
-    adjacency rows (the disconnected ones still parent the next level).
-    Non-edges of a parent in one orbit of the automorphisms its
-    canonical search proved give isomorphic children, so only the first
-    of each orbit is augmented.  That one is seen before the rest, so
-    every class keeps the representative that augmenting every non-edge
-    would keep, and the yielded graphs and their order do not change.
+    Built-in generation covers 4 <= n <= 8 by depth-first edge
+    augmentation from the empty graph; larger vertex counts must come
+    from an external graph6 corpus.  A parent adds the first non-edge
+    (u, v), in (u, v) loop order, of each orbit of the automorphisms its
+    canonical search proved, since the others give isomorphic children.
+    A child is kept only if the added edge lies in the orbit of its
+    canonical deletion edge under the child's own proven automorphisms:
+    of the edges with the largest key (min, max endpoint
+    degree), the one latest (max pos, min pos) in the canonical vertex
+    order.  The key is an invariant, so a child in which another edge
+    outranks the added one is rejected first, with no canonical search.
+    Every class is then reached from exactly one parent, whichever
+    representative the search meets first, and the disconnected graphs
+    still parent the rest.  The graphs come out parent by parent: each
+    parent's kept connected children in (u, v) order, then each child's
+    subtree in turn, the first child's first.
 
     Where ``engine._can_fork()`` holds (POSIX fork, a readable kernel
     thread count, which Linux gives, and more than one CPU) the search
     runs in one forked child, an ``engine._ForkedStream``, which sends
-    each level's adjacency rows down a pipe as soon as it has them and
-    goes on to the next level while the caller consumes this one:
-    enumeration and the caller's work share two cores.  A BLAS pool does
-    not stop it, since the search makes no BLAS call.  The child is killed
-    and reaped when the generator finishes, is closed or is left by an
-    exception; an error in the child is raised here, and so is its exit
-    before the last level (CensusError).  Elsewhere the levels are
-    searched in this process, one after another, with the same graphs.
+    each parent's connected children down a pipe as one item and goes on
+    searching while the caller consumes them: enumeration and the
+    caller's work share two cores.  A BLAS pool does not stop it, since
+    the search makes no BLAS call.  The child is killed and reaped when
+    the generator finishes, is closed or is left by an exception; an
+    error in the child is raised here, and so is its exit before the end
+    of the search (CensusError).  Elsewhere the same search runs in this
+    process, with the same graphs in the same order.
     """
     if not 4 <= n <= 8:
         raise CensusError(
             f"built-in enumeration covers 4 <= n <= 8, not n={n}; "
             "feed a graph6 corpus instead")
-    child = _ForkedStream(lambda: _levels(n), CensusError) if _can_fork() else None
+    child = _ForkedStream(lambda: _search(n), CensusError) if _can_fork() else None
     try:
-        for rows in _levels(n) if child is None else child:
+        for rows in _search(n) if child is None else child:
             for adj in rows:
                 yield _mask_graph(n, adj)
     finally:
@@ -315,12 +395,14 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 class CensusRecord:
     """One graph's comparison outcome.
 
-    k_e and k_nb are the float charpoly route's values.  When they lie within
-    ``TIE_SCREEN`` (relative) and both walks have at most
-    ``engine.EXACT_STATE_CAP`` states, diff_sign compares the exact
-    charpoly values instead, and 'equal' means K_nb = K_e exactly; above
-    the cap it is 'equal' when ``engine.agree(K_nb, K_e, DEFAULT_TOL)``
-    (|K_nb - K_e| <= 1e-9 below K = 256).  Otherwise it is 'nb_smaller' or
+    k_e and k_nb are the float charpoly route's values, k_e read off the
+    vertex walk by the shift identity K_e = K_v + 2m - n.  When they lie
+    within ``TIE_SCREEN`` (relative) and the arc walks have at most
+    ``engine.EXACT_STATE_CAP`` states (2m), diff_sign compares the exact
+    charpoly values instead, k_e again by the shift identity, and 'equal'
+    means K_nb = K_e exactly; above the cap it is 'equal' when
+    ``engine.agree(K_nb, K_e, DEFAULT_TOL)`` (|K_nb - K_e| <= 1e-9 below
+    K = 256).  Otherwise it is 'nb_smaller' or
     'nb_larger_or_equal' (K_nb > K_e), a name kept for stable output bytes.
     """
 
@@ -344,13 +426,14 @@ TIE_SCREEN = 1e-6
 
 
 def _evaluate(g: Graph) -> CensusRecord:
-    p_e = build_matrix(g, "edge", exact=False)
+    shift = 2 * g.m - g.n  # K_e = K_v + 2m - n
     p_nb = build_matrix(g, "non-backtracking", exact=False)
-    k_e, k_nb = kemeny_charpoly(p_e), kemeny_charpoly(p_nb)
+    k_e = kemeny_charpoly(build_matrix(g, "vertex", exact=False)) + shift
+    k_nb = kemeny_charpoly(p_nb)
     e, nb = k_e, k_nb
-    if (math.isclose(k_nb, k_e, rel_tol=TIE_SCREEN)
-            and max(p_e.order, p_nb.order) <= EXACT_STATE_CAP):
-        e = kemeny_charpoly(build_matrix(g, "edge", exact=True))
+    # both arc walks have 2m states
+    if math.isclose(k_nb, k_e, rel_tol=TIE_SCREEN) and p_nb.order <= EXACT_STATE_CAP:
+        e = kemeny_charpoly(build_matrix(g, "vertex", exact=True)) + shift
         nb = kemeny_charpoly(build_matrix(g, "non-backtracking", exact=True))
     if agree(nb, e, DEFAULT_TOL):
         sign = "equal"

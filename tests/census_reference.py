@@ -3,8 +3,9 @@
 These are the canonical search and the unpruned level-by-level enumerator
 as they stood before refinement keyed on packed integers and enumeration
 pruned non-edges by automorphism orbits.  The tests require the library
-to return the same certificates, vertex orders and representatives, so
-the bodies below must stay as they are.
+to return the same certificates and vertex orders, and to enumerate the
+same isomorphism classes, each once, though with other representatives
+in another order; so the bodies below must stay as they are.
 """
 
 from __future__ import annotations

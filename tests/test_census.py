@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,19 +186,35 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_representatives_match_unpruned_enumeration(self, n):
-        # orbit pruning keeps every class's first-seen representative
-        got = [g.edges for g in enumerate_graphs(n)]
-        want = [g.edges for g in reference.enumerate_graphs(n, 0, False)]
+        # the same classes as augmenting every non-edge, each once; the
+        # representatives and their order differ
+        got = Counter(canonical_graph6(g) for g in enumerate_graphs(n))
+        want = Counter(canonical_graph6(g)
+                       for g in reference.enumerate_graphs(n, 0, False))
         assert got == want
+        assert set(got.values()) == {1}
         assert len(got) == self.CONNECTED[n]
 
     def test_representatives_pinned_at_n8(self):
-        # the unpruned enumerator's sequence, too slow to rerun here; the
-        # count is OEIS A001349
-        got = [g.edges for g in enumerate_graphs(8)]
+        # the unpruned enumerator is too slow to rerun here; the count is
+        # OEIS A001349
+        got = list(enumerate_graphs(8))
         assert len(got) == self.CONNECTED[8]
-        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
-            "f2cafb72c34b1fccf4e8dcec751a6a18d1a8e04d65c50753318c160769a629a4")
+        # the class set, as the breadth-first enumerator it replaced found it
+        names = "\n".join(sorted(canonical_graph6(g) for g in got))
+        assert hashlib.sha256(names.encode()).hexdigest() == (
+            "ea17e7bc10272221ed8804d888a102402e979b702ac60c76d7abaea473bde2cc")
+        # the depth-first sequence itself
+        edges = repr([g.edges for g in got])
+        assert hashlib.sha256(edges.encode()).hexdigest() == (
+            "eb1d112ea007b28850d16045e08f43728e1136d7ff3aa72e08071daeefe7801f")
+
+    def test_key_pretest_only_skips_rejected_children(self, monkeypatch):
+        # without the pretest every child is searched and the orbit rule
+        # alone decides: the same graphs in the same order
+        want = [list(census._search(n)) for n in range(1, 8)]
+        monkeypatch.setattr(census, "_outranked", lambda *args: False)
+        assert [list(census._search(n)) for n in range(1, 8)] == want
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_corpus_counts(self, n):
@@ -222,7 +239,7 @@ class TestEnumeration:
             for bits in range(1 << len(pairs)):
                 g = from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
                 assert census._mask_connected(census._adjacency_masks(g)) == g.is_connected()
-        # every level representative on n <= 7 vertices, as the search tests it
+        # every graph the search keeps on n <= 8 vertices, as it tests them
         connected = census._mask_connected
         tally = {True: 0, False: 0}
 
@@ -233,12 +250,12 @@ class TestEnumeration:
             return got
 
         monkeypatch.setattr(census, "_mask_connected", checked)
-        for n in range(1, 8):
-            for _ in census._levels(n):
+        for n in range(1, 9):
+            for _ in census._search(n):
                 pass
-        # graphs on 1..7 vertices (OEIS A000088), connected ones A001349
-        assert tally[True] == 1 + 1 + 2 + 6 + 21 + 112 + 853
-        assert tally[False] == (1 + 2 + 4 + 11 + 34 + 156 + 1044) - tally[True]
+        # graphs on 1..8 vertices (OEIS A000088), connected ones A001349
+        assert tally[True] == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 11117
+        assert tally[False] == (1 + 2 + 4 + 11 + 34 + 156 + 1044 + 12346) - tally[True]
 
     def test_domain(self):
         for bad in (3, 9):
@@ -290,7 +307,7 @@ class TestEnumerationProcess:
             yield [(0,) * n]
             raise RuntimeError("search failed")
 
-        monkeypatch.setattr(census, "_levels", broken)
+        monkeypatch.setattr(census, "_search", broken)
         seen = []
         with pytest.raises(RuntimeError, match="search failed"):
             for g in enumerate_graphs(6):
@@ -306,13 +323,13 @@ class TestEnumerationProcess:
             raise Local("not sendable")
             yield
 
-        monkeypatch.setattr(census, "_levels", broken)
+        monkeypatch.setattr(census, "_search", broken)
         with pytest.raises(CensusError, match="Local.*not sendable"):
             list(enumerate_graphs(6))
         assert_no_child_left()
 
     def test_silent_child_death_reaches_caller(self, alarm, monkeypatch):
-        monkeypatch.setattr(census, "_levels", lambda n: os._exit(3))
+        monkeypatch.setattr(census, "_search", lambda n: os._exit(3))
         with pytest.raises(CensusError, match="exited with status 3"):
             list(enumerate_graphs(6))
         assert_no_child_left()
@@ -320,7 +337,7 @@ class TestEnumerationProcess:
     def test_child_changes_no_value(self):
         # the same graphs evaluated in this process, floats compared exactly
         want = []
-        for rows in census._levels(7):
+        for rows in census._search(7):
             for adj in rows:
                 g = census._mask_graph(7, adj)
                 if nb_walk_defect(g) is None:
@@ -396,11 +413,19 @@ class TestCensus:
 
     def test_float_tie_of_a_non_tie_is_decided_exactly(self, monkeypatch):
         # F}rE? is the nearest non-tie at n = 7: K_e = 1571/77 and
-        # K_nb = 5387/264, 1.3e-4 apart; equal floats must not tie it
+        # K_nb = 5387/264, 1.3e-4 apart; equal floats must not tie it.
+        # K_e is read as K_v + 2m - n
+        g = parse_graph6("F}rE?")
+        shift = 2 * g.m - g.n
         charpoly = census.kemeny_charpoly
-        monkeypatch.setattr(census, "kemeny_charpoly",
-                            lambda P: charpoly(P) if P.exact else 20.4)
-        record = census._evaluate(parse_graph6("F}rE?"))
+
+        def tied(P):
+            if P.exact:
+                return charpoly(P)
+            return 20.4 - shift if P.kind == "vertex" else 20.4
+
+        monkeypatch.setattr(census, "kemeny_charpoly", tied)
+        record = census._evaluate(g)
         assert (record.k_e, record.k_nb) == (20.4, 20.4)
         assert record.diff_sign == "nb_larger_or_equal"
 

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior through cli.run."""
 
+import functools
+import hashlib
 import io
 import json
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from nbkemeny import cli, engine, gen_complete, to_graph6
+from nbkemeny import census, cli, engine, gen_complete, to_graph6
 from nbkemeny.cli import parse_generator_spec
 
 
@@ -484,6 +486,27 @@ class TestCensus:
         _, out1, _ = invoke(capsys, "census", "--n", "5", "--output", "csv")
         _, out2, _ = invoke(capsys, "census", "--n", "5", "--output", "csv")
         assert out1 == out2
+
+    def test_n8_bytes_pinned(self, capsys, monkeypatch):
+        # the census runs once; both renderings go through the console entry
+        monkeypatch.setattr(census, "census_nb_vs_edge",
+                            functools.cache(census.census_nb_vs_edge))
+        previous = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+        digests = []
+        try:
+            for extra in ([], ["--output", "csv"]):
+                monkeypatch.setattr(sys, "argv", ["kemeny", "census", "--n", "8", *extra])
+                with pytest.raises(SystemExit) as exit_:
+                    cli.main()
+                assert exit_.value.code == 0
+                digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        finally:
+            if previous is not None:
+                signal.signal(signal.SIGPIPE, previous)
+        assert digests == [
+            "39d686f2a9d65b69e790552cdc09e9f42a38144a7b5d3912dcfb2b5eb453e7d1",
+            "9273a5d92d0b8882949d8f0ca29a0c001250855281943ec3f830438dce2bae4b",
+        ]
 
 
 class TestGenerate:
