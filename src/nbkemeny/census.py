@@ -11,12 +11,13 @@ exhaustive generation", J. Algorithms 1998): a parent adds one non-edge
 per orbit of the automorphisms its canonical search proves, and a child
 is kept only if the added edge is its canonical deletion edge up to its
 own automorphisms, so every class is found once, with one stack and no
-table of certificates.  It searches in one forked child
-(``engine._ForkedStream``, the engine's large-walk child), which sends
-each parent's children as soon as it has them, so a census evaluates
-while the search goes on; where ``engine._can_fork()`` fails (one CPU,
-or no Linux thread count: macOS and Windows) it searches in this
-process, with the same graphs and bytes.  Census values are computed
+table of certificates.  It works on ``graphs.Graph.masks``, adjacency
+row bitmasks.  It searches in one forked child (``engine._fork``, the
+engine's large-walk child), which sends each parent's children as soon
+as it has them, so a census evaluates while the search goes on; where
+no child may be forked (one CPU, no Linux thread count: macOS and
+Windows, or a failed fork) it searches in this process, with the same
+graphs and bytes.  Census values are computed
 with the float charpoly route (one inverse per walk, no eigensolve), K_e
 as K_v + 2m - n from the n-state vertex walk, and near-ties are decided
 by the exact charpoly route; the tests check the values on n <= 7
@@ -33,11 +34,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .chains import build_matrix, nb_walk_defect
 from .engine import (
-    DEFAULT_TOL, EXACT_STATE_CAP, _can_fork, _ForkedStream, agree, kemeny_charpoly,
+    DEFAULT_TOL, EXACT_STATE_CAP, _fork, agree, kemeny_charpoly,
 )
 from .formulas import barbell_kemeny
 from .graphs import (
-    BarbellParams, Graph, Graph6Error, GraphError, parse_graph6, to_graph6,
+    BarbellParams, Graph, Graph6Error, GraphError, from_masks, masks_connected,
+    masks_graph6, parse_graph6, to_graph6,
 )
 from .ratmath import format_scalar
 
@@ -159,18 +161,10 @@ def _canonical_core(n: int, adj: Sequence[int]) -> tuple:
     return best_cert, best_order, generators
 
 
-def _adjacency_masks(g: Graph) -> list:
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def canonical_labeling(g: Graph) -> tuple:
     """Canonical relabeling (old index -> new index): two graphs are
     isomorphic iff their relabeled edge sets coincide."""
-    _, order, _ = _canonical_core(g.n, _adjacency_masks(g))
+    _, order, _ = _canonical_core(g.n, g.masks)
     perm = [0] * g.n
     for new, old in enumerate(order):
         perm[old] = new
@@ -178,10 +172,8 @@ def canonical_labeling(g: Graph) -> tuple:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of a graph."""
-    perm = canonical_labeling(g)
-    edges = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)
-    return Graph(g.n, tuple(edges))
+    """The canonically relabeled copy of a graph, built from its certificate."""
+    return from_masks(_canonical_core(g.n, g.masks)[0])
 
 
 # Largest graph the canonical search takes: it has no automorphism pruning,
@@ -196,34 +188,17 @@ def _canonical_defect(g: Graph) -> Optional[str]:
 
 
 def canonical_graph6(g: Graph) -> str:
-    """graph6 encoding of the canonical form; equal strings mean
-    isomorphic graphs.  A graph above ``CANONICAL_MAX_N`` vertices is
-    refused before the search."""
+    """graph6 encoding of the canonical form, read straight off the
+    certificate; equal strings mean isomorphic graphs.  A graph above
+    ``CANONICAL_MAX_N`` vertices is refused before the search."""
     defect = _canonical_defect(g)
     if defect is not None:
         raise GraphError(defect)
-    return to_graph6(canonical_graph(g))
+    return masks_graph6(_canonical_core(g.n, g.masks)[0])
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration, 4 <= n <= 8
-
-
-def _mask_graph(n: int, adj: Sequence[int]) -> Graph:
-    return Graph(n, tuple(
-        (u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1))
-
-
-def _mask_connected(adj: Sequence[int]) -> bool:
-    """Whether the graph with these adjacency row bitmasks is connected,
-    by a search from vertex 0 over a bitmask frontier."""
-    seen = frontier = 1
-    while frontier:
-        low = frontier & -frontier
-        new = adj[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier = (frontier ^ low) | new
-    return seen == (1 << len(adj)) - 1
 
 
 def _close_orbit(seen: set, pair: tuple, generators: list) -> set:
@@ -318,7 +293,7 @@ def _search(n: int) -> Iterator[list]:
     connected, then each parent's kept connected children, depth-first
     (see enumerate_graphs).  Empty lists are not yielded."""
     root = (0,) * n
-    if _mask_connected(root):
+    if masks_connected(root):
         yield [root]
     stack = [(root, _canonical_core(n, root)[2])]
     while stack:
@@ -334,7 +309,7 @@ def _search(n: int) -> Iterator[list]:
             _, order, found = _canonical_core(n, child)
             if _deletion_matches(child, order, found, u, v):
                 kept.append((tuple(child), found))
-        rows = [child for child, _ in kept if _mask_connected(child)]
+        rows = [child for child, _ in kept if masks_connected(child)]
         if rows:
             yield rows
         stack.extend(reversed(kept))
@@ -361,8 +336,8 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     parent's kept connected children in (u, v) order, then each child's
     subtree in turn, the first child's first.
 
-    Where ``engine._can_fork()`` holds (POSIX fork, a readable kernel
-    thread count, which Linux gives, and more than one CPU) the search
+    Where ``engine._fork`` forks (POSIX fork, a readable kernel thread
+    count, which Linux gives, and more than one CPU) the search
     runs in one forked child, an ``engine._ForkedStream``, which sends
     each parent's connected children down a pipe as one item and goes on
     searching while the caller consumes them: enumeration and the
@@ -377,11 +352,11 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         raise CensusError(
             f"built-in enumeration covers 4 <= n <= 8, not n={n}; "
             "feed a graph6 corpus instead")
-    child = _ForkedStream(lambda: _search(n), CensusError) if _can_fork() else None
+    child = _fork(lambda: _search(n), CensusError)
     try:
         for rows in _search(n) if child is None else child:
             for adj in rows:
-                yield _mask_graph(n, adj)
+                yield from_masks(adj)
     finally:
         if child is not None:
             child.close()

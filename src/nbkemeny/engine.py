@@ -23,7 +23,8 @@ walk of more than ``EXACT_STATE_CAP`` states runs in one forked child beside
 the other two walks where a second CPU is idle for it, with the same routes
 and the same report bytes (see ``kemeny_triple``).  That child is a
 ``_ForkedStream``, the package's one way to run work in another process;
-the census's graph search runs in one too.
+the census's graph search runs in one too, and both fall back to this
+process by ``_fork``.
 
 Scalar mode
 -----------
@@ -575,14 +576,6 @@ def _single_threaded() -> bool:
     return _thread_count() == 1 and (blas is None or blas() == 1)
 
 
-def _can_fork() -> bool:
-    """Whether work may run in a forked child beside the caller: POSIX
-    fork, the kernel's thread count readable (Linux; elsewhere, macOS
-    among them, everything stays in one process), and a second CPU to
-    run the child on."""
-    return hasattr(os, "fork") and _thread_count() is not None and _cpu_count() > 1
-
-
 def _child_main(items: Callable[[], Iterable], error: type, read_fd: int, write_fd: int) -> None:
     """The forked child's whole life: send ("item", x) for each x of
     items(), then ("end", None) or ("raised", the exception it raised),
@@ -671,6 +664,21 @@ class _ForkedStream:
             self.pid = None
 
 
+def _fork(items: Callable[[], Iterable], error: type = EngineError) -> Optional[_ForkedStream]:
+    """A ``_ForkedStream`` of items() if work may run in a forked child
+    beside the caller: POSIX fork, the kernel's thread count readable
+    (Linux; elsewhere, macOS among them, everything stays in one process),
+    a second CPU to run the child on, and pipe(2) and fork(2) succeeding
+    (fork fails with EAGAIN at the process limit, or ENOMEM).  Otherwise
+    None, and the caller runs the same work in this process."""
+    if not (hasattr(os, "fork") and _thread_count() is not None and _cpu_count() > 1):
+        return None
+    try:
+        return _ForkedStream(items, error)
+    except OSError:
+        return None
+
+
 def kemeny_triple(
     g: Graph,
     mode: str = "auto",
@@ -697,18 +705,19 @@ def kemeny_triple(
 
     Notes
     -----
-    When the non-backtracking walk has more than ``EXACT_STATE_CAP`` states,
-    ``_can_fork()`` holds (POSIX fork, a readable kernel thread count, which
-    Linux gives, and more than one CPU in the affinity set) and this
-    process runs one thread by that count and by its OpenBLAS's setting
-    (``_single_threaded``), a one-item ``_ForkedStream``
-    forked before the walk loop builds that chain and runs ``_run_routes``
-    on it, while this process computes the vertex and edge walks.  Another
-    thread's locks would be inherited held, and a multithreaded BLAS
-    already spreads the float work over the CPUs: two of its pools on the
-    same CPUs ran CB(2,150,150)'s report 2-9x slower than one process did
-    (OpenBLAS, 2 threads, 2 cores).  The values, the checks and the report
-    bytes are those of the in-process run.  An exception in the child is
+    When the non-backtracking walk has more than ``EXACT_STATE_CAP`` states
+    and this process runs one thread by the kernel's count and by its
+    OpenBLAS's setting (``_single_threaded``), ``_fork`` starts a one-item
+    ``_ForkedStream`` before the walk loop (POSIX fork, a readable kernel
+    thread count, which Linux gives, and more than one CPU in the affinity
+    set).  The child builds that chain and runs ``_run_routes`` on it while
+    this process computes the vertex and edge walks; where ``_fork`` starts
+    no child, the walk loop computes it here in turn.  Another thread's
+    locks would be inherited held, and a multithreaded BLAS already spreads
+    the float work over the CPUs: two of its pools on the same CPUs ran
+    CB(2,150,150)'s report 2-9x slower than one process did (OpenBLAS, 2
+    threads, 2 cores).  The values, the checks and the report bytes are
+    those of the in-process run.  An exception in the child is
     raised here, and the child is killed and reaped before this function
     returns or raises.
     """
@@ -734,10 +743,9 @@ def kemeny_triple(
     spreads: dict[str, float] = {}
     modes: dict[str, str] = {}
     child = None
-    if (nb_omitted is None and 2 * g.m > EXACT_STATE_CAP
-            and _can_fork() and _single_threaded()):
+    if nb_omitted is None and 2 * g.m > EXACT_STATE_CAP and _single_threaded():
         nb_exact = use_exact(2 * g.m)
-        child = _ForkedStream(lambda: [_run_routes(nb_transition(g, exact=nb_exact))])
+        child = _fork(lambda: [_run_routes(nb_transition(g, exact=nb_exact))])
     try:
         for walk, states, build in walks:
             exact = use_exact(states)

@@ -3,14 +3,15 @@ detection, and generators for the graph families used throughout the package.
 
 Vertices are always 0..n-1.  Edges are stored as a sorted tuple of sorted
 pairs, so two Graph objects built from the same edge set compare equal and
-hash identically regardless of input order.
+hash identically regardless of input order.  Adjacency is ``Graph.masks``,
+one bitmask per row, which the census shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -60,52 +61,71 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        adj = [set() for _ in range(self.n)]
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency rows as bitmasks: bit v of masks[u] is set iff u ~ v."""
+        rows = [0] * self.n
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return tuple(rows)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency_sets[v]
+        return frozenset(_bits(self.masks[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency_sets[u]
+        return bool(self.masks[u] >> v & 1)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency_sets[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return masks_connected(self.masks)
 
     def two_coloring(self) -> Optional[tuple[int, ...]]:
         """Proper 2-coloring as a tuple of 0/1, or None if an odd cycle exists.
 
-        Works per component; component roots get color 0.
+        Works per component, by bitmask levels; component roots get color 0.
         """
-        color: list[Optional[int]] = [None] * self.n
+        side = [0, 0]  # the vertices colored 0 and 1
         for root in range(self.n):
-            if color[root] is not None:
+            if (side[0] | side[1]) >> root & 1:
                 continue
-            color[root] = 0
-            queue = [root]
-            while queue:
-                u = queue.pop()
-                for w in self.adjacency_sets[u]:
-                    if color[w] is None:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        return tuple(color)  # type: ignore[arg-type]
+            side[0] |= 1 << root
+            level, color = 1 << root, 0
+            while level:
+                reach = 0
+                for u in _bits(level):
+                    reach |= self.masks[u]
+                if reach & side[color]:
+                    return None
+                color ^= 1
+                level = reach & ~side[color]
+                side[color] |= level
+        return tuple(side[1] >> v & 1 for v in range(self.n))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def masks_connected(masks: Sequence[int]) -> bool:
+    """Whether the graph with these adjacency rows (see ``Graph.masks``) is
+    connected, by a search from vertex 0 over a bitmask frontier."""
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        new = masks[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier = (frontier ^ low) | new
+    return seen == (1 << len(masks)) - 1
+
+
+def from_masks(masks: Sequence[int]) -> Graph:
+    """The graph on len(masks) vertices with these symmetric adjacency rows
+    (see ``Graph.masks``)."""
+    return Graph(len(masks), tuple(
+        (u, v) for u, row in enumerate(masks) for v in _bits(row & -2 << u)))
 
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -288,22 +308,18 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (requires n <= 258047): the short
     form up to n = 62, the long form beyond."""
     check_graph6_order(g.n)
-    bits = []
-    for col in range(1, g.n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    if g.n <= 62:
-        out = [chr(g.n + 63)]
-    else:
-        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i:i + 6]:
-            v = (v << 1) | b
-        out.append(chr(v + 63))
-    return "".join(out)
+    return masks_graph6(g.masks)
+
+
+def masks_graph6(masks: Sequence[int]) -> str:
+    """graph6 of the graph with these adjacency rows, unchecked for size:
+    column c of the upper triangle is the low c bits of row c, row 0 first."""
+    n = len(masks)
+    bits = "".join(format(masks[c] & (1 << c) - 1, f"0{c}b")[::-1] for c in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    size = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    return "".join(chr(v + 63) for v in size + [
+        int(bits[i:i + 6], 2) for i in range(0, len(bits), 6)])
 
 
 def read_graph6(lines: Iterable[str]) -> Iterator[Graph]:

@@ -1,5 +1,6 @@
 """Canonical forms, the exhaustive census, and the barbell sweep."""
 
+import errno
 import hashlib
 import os
 import random
@@ -43,6 +44,7 @@ from nbkemeny import (
 )
 from nbkemeny import census, engine
 from nbkemeny.engine import DEFAULT_TOL, agree
+from nbkemeny.graphs import from_masks, masks_connected
 
 import census_reference as reference
 from conftest import PETERSEN_EDGES, random_connected
@@ -68,10 +70,20 @@ def atlas_masks(max_n, connected_only):
 
 def named_masks():
     for g in (from_edge_list(10, PETERSEN_EDGES), gen_complete_bipartite(3, 3)):
-        yield g.n, census._adjacency_masks(g)
+        yield g.n, g.masks
 
 
 class TestCanonicalForm:
+    def test_certificate_encoding_matches_graph_encoding(self, petersen):
+        # canonical_graph6 encodes the certificate, to_graph6 the Graph
+        graphs = [petersen]
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() >= 1 and nx.is_connected(h):
+                graphs.append(from_edge_list(h.number_of_nodes(), h.edges()))
+        assert len(graphs) == 1 + 1 + 1 + 2 + 6 + 21 + 112 + 853
+        for g in graphs:
+            assert canonical_graph6(g) == to_graph6(canonical_graph(g))
+
     def test_labeling_is_permutation(self, petersen):
         lab = canonical_labeling(petersen)
         assert sorted(lab) == list(range(10))
@@ -232,24 +244,27 @@ class TestEnumeration:
             seen.add(canonical_graph6(g))
         assert len(seen) == self.CORPUS[5]
 
-    def test_mask_connectivity_matches_graph(self, monkeypatch):
+    def test_mask_connectivity_matches_networkx(self, monkeypatch):
         # every labelled graph on n <= 5 vertices
         for n in range(1, 6):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             for bits in range(1 << len(pairs)):
                 g = from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
-                assert census._mask_connected(census._adjacency_masks(g)) == g.is_connected()
+                h = nx.Graph(g.edges)
+                h.add_nodes_from(range(n))
+                assert masks_connected(g.masks) == nx.is_connected(h)
         # every graph the search keeps on n <= 8 vertices, as it tests them
-        connected = census._mask_connected
         tally = {True: 0, False: 0}
 
         def checked(adj):
-            got = connected(adj)
-            assert got == census._mask_graph(len(adj), adj).is_connected(), adj
+            got = masks_connected(adj)
+            h = nx.Graph(from_masks(adj).edges)
+            h.add_nodes_from(range(len(adj)))
+            assert got == nx.is_connected(h), adj
             tally[got] += 1
             return got
 
-        monkeypatch.setattr(census, "_mask_connected", checked)
+        monkeypatch.setattr(census, "masks_connected", checked)
         for n in range(1, 9):
             for _ in census._search(n):
                 pass
@@ -312,7 +327,7 @@ class TestEnumerationProcess:
         with pytest.raises(RuntimeError, match="search failed"):
             for g in enumerate_graphs(6):
                 seen.append(g)
-        assert seen == [census._mask_graph(6, (0,) * 6)]
+        assert seen == [from_masks((0,) * 6)]
         assert_no_child_left()
 
     def test_unpicklable_child_error_becomes_census_error(self, alarm, monkeypatch):
@@ -339,7 +354,7 @@ class TestEnumerationProcess:
         want = []
         for rows in census._search(7):
             for adj in rows:
-                g = census._mask_graph(7, adj)
+                g = from_masks(adj)
                 if nb_walk_defect(g) is None:
                     want.append(census._evaluate(g))
         want.sort(key=lambda r: (r.n, r.m, r.graph_id))
@@ -356,6 +371,24 @@ class TestEnumerationProcess:
         monkeypatch.setattr(os, "fork", no_fork)
         assert census_nb_vs_edge(6).count == 18
         assert census_nb_vs_edge(7).records == forked
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_failed_fork_searches_in_process(self, call, monkeypatch):
+        # fork(2) fails with EAGAIN at the process limit, pipe(2) with EMFILE
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+        want = census_nb_vs_edge(6)
+        calls = []
+
+        def refused(*args):
+            calls.append(call)
+            code = errno.EAGAIN if call == "fork" else errno.EMFILE
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, call, refused)
+        assert census_nb_vs_edge(6) == want
+        assert calls == [call]
+        assert_no_child_left()
 
     def test_census_never_imports_multiprocessing(self):
         code = ("import sys\n"

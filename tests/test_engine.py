@@ -8,6 +8,7 @@ graphs are checked against conftest.oracle_kemeny, which takes one masked
 passage-time solve per target, a construction the engine does not share.
 """
 
+import errno
 import os
 import random
 import signal
@@ -785,6 +786,23 @@ class TestForkedWalk:
         monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
         assert kemeny_triple(g, mode="float").to_json() == forked
         assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_failed_fork_runs_the_walk_in_process(self, forks, monkeypatch):
+        # fork(2) fails with EAGAIN at the process limit
+        g = gen_cycle_barbell(100, 4, 4)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+        in_process = kemeny_triple(g, mode="float").to_json()
+        refused = []
+
+        def eagain():
+            refused.append(1)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", eagain)
+        assert kemeny_triple(g, mode="float").to_json() == in_process
+        assert len(refused) == 1 and not forks
         self.assert_no_child_left()
 
     def test_child_error_comes_back(self, forks, monkeypatch):

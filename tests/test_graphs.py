@@ -24,7 +24,25 @@ from nbkemeny import (
     to_graph6,
 )
 
+from nbkemeny.graphs import from_masks
+
 from conftest import random_connected
+
+
+def random_graph(n, rng):
+    """A random graph on n vertices, often disconnected, bipartite for
+    about half the draws (edges only across a random split)."""
+    p = rng.choice((0.5 / n, 1.5 / n, 4 / n, 0.5))
+    side = [rng.randrange(2) for _ in range(n)] if rng.random() < 0.5 else [0] * n
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if (side[u] != side[v] or not any(side))
+                              and rng.random() < p])
+
+
+def to_networkx(g):
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
+    return h
 
 
 class TestGraph:
@@ -58,6 +76,36 @@ class TestGraph:
         assert col is not None
         assert {col[0], col[2]} == {0, 1}
         assert gen_complete(3).two_coloring() is None
+
+    @pytest.mark.parametrize("n", [5, 63, 200])
+    def test_masks_match_networkx_and_round_trip(self, n):
+        # at n = 63 and 200 a row spans several machine words
+        rng = random.Random(n)
+        for _ in range(20):
+            g = random_graph(n, rng)
+            h = to_networkx(g)
+            for u in range(n):
+                assert g.masks[u] == sum(1 << v for v in h.adj[u])
+                assert g.neighbors(u) == frozenset(h.adj[u])
+            back = from_masks(g.masks)
+            assert back == g and back.masks == g.masks
+            assert g.is_connected() == nx.is_connected(h)
+
+    def test_two_coloring_matches_networkx(self):
+        rng = random.Random(20261021)
+        bipartite = 0
+        for _ in range(400):
+            g = random_graph(rng.randrange(1, 16), rng)
+            h = to_networkx(g)
+            col = g.two_coloring()
+            assert (col is not None) == nx.is_bipartite(h)
+            if col is None:
+                continue
+            bipartite += 1
+            assert all(col[u] != col[v] for u, v in g.edges)
+            # components are searched from their lowest vertex, colored 0
+            assert all(col[min(c)] == 0 for c in nx.connected_components(h))
+        assert 100 < bipartite < 400
 
 
 class TestGraph6:
