@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -77,6 +78,13 @@ def random_connected(n: int, rng: random.Random, extra_edges: int = 0) -> Graph:
     for e in pool[:extra_edges]:
         edges.add(e)
     return from_edge_list(n, sorted(edges))
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """The same graph in networkx, isolated vertices included."""
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
+    return h
 
 
 def random_min2(n: int, rng: random.Random) -> Graph:

@@ -47,7 +47,7 @@ from nbkemeny.engine import DEFAULT_TOL, agree
 from nbkemeny.graphs import from_masks, masks_connected
 
 import census_reference as reference
-from conftest import PETERSEN_EDGES, random_connected
+from conftest import PETERSEN_EDGES, random_connected, to_networkx
 
 
 def relabel(g, perm):
@@ -250,17 +250,13 @@ class TestEnumeration:
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             for bits in range(1 << len(pairs)):
                 g = from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
-                h = nx.Graph(g.edges)
-                h.add_nodes_from(range(n))
-                assert masks_connected(g.masks) == nx.is_connected(h)
+                assert masks_connected(g.masks) == nx.is_connected(to_networkx(g))
         # every graph the search keeps on n <= 8 vertices, as it tests them
         tally = {True: 0, False: 0}
 
         def checked(adj):
             got = masks_connected(adj)
-            h = nx.Graph(from_masks(adj).edges)
-            h.add_nodes_from(range(len(adj)))
-            assert got == nx.is_connected(h), adj
+            assert got == nx.is_connected(to_networkx(from_masks(adj))), adj
             tally[got] += 1
             return got
 

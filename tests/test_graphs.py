@@ -26,7 +26,7 @@ from nbkemeny import (
 
 from nbkemeny.graphs import from_masks
 
-from conftest import random_connected
+from conftest import random_connected, to_networkx
 
 
 def random_graph(n, rng):
@@ -37,12 +37,6 @@ def random_graph(n, rng):
     return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                               if (side[u] != side[v] or not any(side))
                               and rng.random() < p])
-
-
-def to_networkx(g):
-    h = nx.Graph(g.edges)
-    h.add_nodes_from(range(g.n))
-    return h
 
 
 class TestGraph:
