@@ -18,11 +18,16 @@ as it has them, so a census evaluates while the search goes on; where
 no child may be forked (one CPU, no Linux thread count: macOS and
 Windows, or a failed fork) it searches in this process, with the same
 graphs and bytes.  Census values are computed
-with the float charpoly route (one inverse per walk, no eigensolve), K_e
-as K_v + 2m - n from the n-state vertex walk, and near-ties are decided
-by the exact charpoly route; the tests check the values on n <= 7
-vertices against the spectral route on the edge and non-backtracking
-walks and spot-check the others.
+with the float charpoly route (no eigensolve), K_e as K_v + 2m - n from
+the n-state vertex walk.  The caller names each graph as it arrives and
+holds it with the others of its (n, m) until their batch is full
+(``BATCH_ENTRIES``); a batch stacks its vertex walks and its
+non-backtracking walks, and each stack takes one stacked solve
+(``engine.kemeny_charpoly_stack``), with the values one walk alone gives.
+Near-ties are then decided one graph at a time by the exact charpoly
+route; the tests check the values on n <= 7 vertices against the
+spectral route on the edge and non-backtracking walks and spot-check the
+others.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .chains import build_matrix, nb_walk_defect
+from .chains import build_matrix, nb_walk_defect, walk_stack
 from .engine import (
-    DEFAULT_TOL, EXACT_STATE_CAP, _fork, agree, kemeny_charpoly,
+    DEFAULT_TOL, EXACT_STATE_CAP, _fork, agree, kemeny_charpoly, kemeny_charpoly_stack,
 )
 from .formulas import barbell_kemeny
 from .graphs import (
@@ -399,15 +404,27 @@ class CensusResult(NamedTuple):
 # the nearest non-tie on n <= 8 vertices is 1.3e-4 apart.
 TIE_SCREEN = 1e-6
 
+# Entries, graphs times (2m)^2, that a census batch of one (n, m) holds
+# before its walks are stacked and solved.  At n = 8, smaller budgets ran
+# slower (2^11 by about half) and 2^15 no faster, and 2^16 raised the
+# caller's peak memory by 1.6 MB.
+BATCH_ENTRIES = 1 << 14
 
-def _evaluate(g: Graph) -> CensusRecord:
+
+def _evaluate_batch(names: Sequence[str], graphs: Sequence[Graph]) -> list:
+    """The records of graphs of one (n, m), named ``names``: one stacked
+    float charpoly per walk, then each near-tie decided alone."""
+    k_v = kemeny_charpoly_stack(walk_stack(graphs, "vertex"))
+    k_nb = kemeny_charpoly_stack(walk_stack(graphs, "non-backtracking"))
+    return [_record(*args) for args in zip(names, graphs, k_v.tolist(), k_nb.tolist())]
+
+
+def _record(name: str, g: Graph, k_v: float, k_nb: float) -> CensusRecord:
     shift = 2 * g.m - g.n  # K_e = K_v + 2m - n
-    p_nb = build_matrix(g, "non-backtracking", exact=False)
-    k_e = kemeny_charpoly(build_matrix(g, "vertex", exact=False)) + shift
-    k_nb = kemeny_charpoly(p_nb)
+    k_e = k_v + shift
     e, nb = k_e, k_nb
     # both arc walks have 2m states
-    if math.isclose(k_nb, k_e, rel_tol=TIE_SCREEN) and p_nb.order <= EXACT_STATE_CAP:
+    if math.isclose(k_nb, k_e, rel_tol=TIE_SCREEN) and 2 * g.m <= EXACT_STATE_CAP:
         e = kemeny_charpoly(build_matrix(g, "vertex", exact=True)) + shift
         nb = kemeny_charpoly(build_matrix(g, "non-backtracking", exact=True))
     if agree(nb, e, DEFAULT_TOL):
@@ -416,7 +433,12 @@ def _evaluate(g: Graph) -> CensusRecord:
         sign = "nb_larger_or_equal"
     else:
         sign = "nb_smaller"
-    return CensusRecord(canonical_graph6(g), g.n, g.m, k_e, k_nb, sign)
+    return CensusRecord(name, g.n, g.m, k_e, k_nb, sign)
+
+
+def _evaluate(g: Graph) -> CensusRecord:
+    """One graph's record: the batch of one."""
+    return _evaluate_batch([canonical_graph6(g)], [g])[0]
 
 
 def _qualify(g: Graph) -> Optional[str]:
@@ -438,13 +460,27 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
     pairs: "not connected", the defect, the canonical form's size limit or
     the parse error (for a bytes line also a non-ASCII byte, with its
     offset in the stripped line).  Records are ordered by (n, m, graph_id).
+
+    Each counted graph is named by ``canonical_graph6`` as it arrives and
+    then waits with the others of its (n, m); a batch is evaluated when it
+    holds ``BATCH_ENTRIES`` entries, and every batch at the end.  The
+    values do not depend on the batches (see ``engine.kemeny_charpoly_stack``).
     """
+    held = {}  # (n, m) -> (names, graphs) waiting for evaluation
     records = []
     skipped = []
+
+    def add(g: Graph) -> None:
+        names, graphs = held.setdefault((g.n, g.m), ([], []))
+        names.append(canonical_graph6(g))
+        graphs.append(g)
+        if len(graphs) * (2 * g.m) ** 2 >= BATCH_ENTRIES:
+            records.extend(_evaluate_batch(*held.pop((g.n, g.m))))
+
     if isinstance(source, int):
         for g in enumerate_graphs(source):  # connected by construction
             if nb_walk_defect(g) is None:
-                records.append(_evaluate(g))
+                add(g)
     elif isinstance(source, (str, bytes)):
         raise CensusError("census source is one string; pass an iterable of graph6 lines")
     else:
@@ -466,7 +502,9 @@ def census_nb_vs_edge(source: Union[int, Iterable]) -> CensusResult:
             if reason is not None:
                 skipped.append((to_graph6(g), reason))
                 continue
-            records.append(_evaluate(g))
+            add(g)
+    for batch in held.values():
+        records.extend(_evaluate_batch(*batch))
     records.sort(key=lambda r: (r.n, r.m, r.graph_id))
     count = sum(1 for r in records if r.diff_sign != "nb_smaller")
     return CensusResult(count, tuple(records), tuple(skipped))

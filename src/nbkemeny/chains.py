@@ -1,14 +1,17 @@
 """Transition and incidence matrices for the three random walks.
 
 The vertex walk lives on the n vertices; the edge-space and non-backtracking
-walks live on the 2m oriented edges (arcs).  ``_arcs`` owns the arc layout:
-arcs sorted by (tail, head), which fixes every 2m-dimensional matrix in the
-package and ``OrientedEdgeIndex``.
+walks live on the 2m oriented edges (arcs).  ``_arc_table`` owns the arc
+layout: arcs sorted by (tail, head), which fixes every 2m-dimensional matrix
+in the package and ``OrientedEdgeIndex``.
 
-Every builder makes an integer 0/1 pattern from the arc arrays, by
+Every builder makes an integer 0/1 pattern from the edge or arc arrays, by
 broadcasting or indexing, and casts it to the mode of its ``exact`` flag: an
 object-dtype array of ints and Fractions, or a float64 array.  The array's
 dtype is the mode.  A walk is its step pattern over the row sums (``_walk``).
+The patterns are written over a stack of graphs of one (n, m), so
+``walk_stack`` builds the census's float walks of many graphs at once, and a
+one-graph builder reads the stack of one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -80,11 +84,7 @@ class ChainMatrix:
             r, c = self.data.shape
             if r != c:
                 raise ChainError(f"{self.kind} transition matrix must be square")
-            e, F = self.rows
-            tol = 0 if self.exact else 1e-12
-            bad = np.flatnonzero(abs(F.sum(axis=1) - e) > tol * e)
-            if bad.size:
-                raise ChainError(f"row {bad[0]} of {self.kind} matrix is not stochastic")
+            _check_stochastic(self.kind, *self.rows, self.exact)
 
     @cached_property
     def rows(self) -> tuple[np.ndarray | int, np.ndarray]:
@@ -107,6 +107,15 @@ class ChainMatrix:
         return self.data.astype(float, copy=False)
 
 
+def _check_stochastic(kind: str, e, F: np.ndarray, exact: bool) -> None:
+    """ChainError unless F 1 = e on every row of F, over its leading axes:
+    exactly in exact mode, within 1e-12 e in float mode (a NaN row fails)."""
+    tol = 0 if exact else 1e-12
+    bad = np.nonzero(~(abs(F.sum(axis=-1) - e) <= tol * e))[-1]
+    if bad.size:
+        raise ChainError(f"row {bad[0]} of {kind} matrix is not stochastic")
+
+
 def integer_rows(M: np.ndarray) -> tuple[np.ndarray | int, np.ndarray]:
     """(e, F) with M = diag(e)^{-1} F: e the row denominators and F integral
     in exact mode, e = 1 and F = M in float mode."""
@@ -116,12 +125,28 @@ def integer_rows(M: np.ndarray) -> tuple[np.ndarray | int, np.ndarray]:
     return np.array(e, dtype=object), np.array(F, dtype=object)
 
 
+def _edge_table(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) int arrays of shape (G, m), row k the edges of graphs[k]; the
+    graphs share one (n, m)."""
+    E = np.array([g.edges for g in graphs], dtype=np.intp).reshape(len(graphs), -1, 2)
+    return E[..., 0], E[..., 1]
+
+
+def _arc_table(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) int arrays of shape (G, 2m), row k the arcs of
+    graphs[k] sorted by (tail, head); the graphs share one (n, m).  Sorting
+    the keys tail * n + head keeps the table at O(m) a graph, where the
+    adjacency's nonzeros would give the same order at O(n^2)."""
+    u, v = _edge_table(graphs)
+    n = graphs[0].n
+    key = np.sort(np.concatenate([u * n + v, v * n + u], axis=-1), axis=-1)
+    return np.divmod(key, n)
+
+
 def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """(tail, head) int arrays of the 2m arcs, sorted by (tail, head)."""
-    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    tail, head = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((head, tail))
-    return tail[order], head[order]
+    tail, head = _arc_table([g])
+    return tail[0], head[0]
 
 
 def _scalars(M: np.ndarray, exact: bool) -> np.ndarray:
@@ -149,24 +174,49 @@ def _refuse_isolated(g: Graph, walk: str) -> None:
         raise ChainError(f"vertex {g.degrees.index(0)} is isolated; the {walk} walk is undefined")
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    A = np.zeros((g.n, g.n), dtype=np.intp)
-    A[_arcs(g)] = 1
+def _adjacency(graphs: Sequence[Graph]) -> np.ndarray:
+    """The adjacency matrices of graphs of one (n, m), stacked (G, n, n),
+    written from the edge lists."""
+    u, v = _edge_table(graphs)
+    n = graphs[0].n
+    A = np.zeros((len(graphs), n, n), dtype=np.intp)
+    k = np.arange(len(graphs))[:, None]
+    A[k, u, v] = A[k, v, u] = 1
     return A
 
 
-def _steps(g: Graph, non_backtracking: bool) -> np.ndarray:
+def _steps(tail: np.ndarray, head: np.ndarray, non_backtracking: bool) -> np.ndarray:
     """Arc a -> arc b iff b starts where a ends, and for the
-    non-backtracking walk b is not a's reversal."""
-    tail, head = _arcs(g)
-    F = head[:, None] == tail[None, :]
+    non-backtracking walk b is not a's reversal, over the arc arrays'
+    leading axes."""
+    F = head[..., :, None] == tail[..., None, :]
     if non_backtracking:
-        F &= tail[:, None] != head[None, :]
+        F &= tail[..., :, None] != head[..., None, :]
     return F
 
 
+def _pattern(graphs: Sequence[Graph], kind: str) -> np.ndarray:
+    """The 0/1 step patterns of one walk kind on graphs of one (n, m),
+    stacked (G, N, N)."""
+    if kind == "vertex":
+        return _adjacency(graphs)
+    return _steps(*_arc_table(graphs), kind == "non-backtracking")
+
+
+def walk_stack(graphs: Sequence[Graph], kind: str) -> np.ndarray:
+    """The float walks of one kind on graphs of one (n, m), stacked
+    (G, N, N): the patterns over their row sums, checked row-stochastic as
+    ``ChainMatrix`` checks one walk.  The caller vouches that each walk
+    exists (no isolated vertex, and for the non-backtracking walk no
+    ``nb_walk_defect``); a row with no step fails the check."""
+    F = _pattern(graphs, kind)
+    P = F / F.sum(axis=-1)[..., None]
+    _check_stochastic(kind, 1, P, exact=False)
+    return P
+
+
 def adjacency_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
-    return ChainMatrix("adjacency", _scalars(_adjacency(g), exact))
+    return ChainMatrix("adjacency", _scalars(_adjacency([g])[0], exact))
 
 
 def degree_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
@@ -176,7 +226,7 @@ def degree_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
 def vertex_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     """Simple random walk matrix P = D^{-1} A."""
     _refuse_isolated(g, "vertex")
-    return _walk("vertex", _adjacency(g), exact)
+    return _walk("vertex", _pattern([g], "vertex")[0], exact)
 
 
 def incidence_operators(g: Graph, exact: bool = False) -> tuple[ChainMatrix, ChainMatrix, ChainMatrix]:
@@ -200,12 +250,12 @@ def incidence_operators(g: Graph, exact: bool = False) -> tuple[ChainMatrix, Cha
 
 def edge_adjacency(g: Graph, exact: bool = False) -> ChainMatrix:
     """C = S T: arc a -> arc b allowed iff b starts where a ends."""
-    return ChainMatrix("edge-adjacency", _scalars(_steps(g, False), exact))
+    return ChainMatrix("edge-adjacency", _scalars(_pattern([g], "edge")[0], exact))
 
 
 def nb_adjacency(g: Graph, exact: bool = False) -> ChainMatrix:
     """B = S T - tau: edge adjacency with reversals forbidden."""
-    return ChainMatrix("nb-adjacency", _scalars(_steps(g, True), exact))
+    return ChainMatrix("nb-adjacency", _scalars(_pattern([g], "non-backtracking")[0], exact))
 
 
 def edge_degree_matrix(g: Graph, exact: bool = False) -> ChainMatrix:
@@ -218,7 +268,7 @@ def edge_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     """Edge-space walk P_e = D_e^{-1} C: step to a uniform arc out of the
     current arc's head (reversal allowed)."""
     _refuse_isolated(g, "edge")
-    return _walk("edge", _steps(g, False), exact)
+    return _walk("edge", _pattern([g], "edge")[0], exact)
 
 
 def nb_walk_defect(g: Graph) -> str | None:
@@ -244,7 +294,7 @@ def nb_transition(g: Graph, exact: bool = False) -> ChainMatrix:
     defect = nb_walk_defect(g)
     if defect is not None:
         raise ChainError(defect)
-    return _walk("non-backtracking", _steps(g, True), exact)
+    return _walk("non-backtracking", _pattern([g], "non-backtracking")[0], exact)
 
 
 # every named matrix, in the order ``kemeny matrices --kind`` lists them

@@ -40,7 +40,9 @@ X run over integers, and in float mode ``np.linalg.solve`` with s = 1.0.
 The charpoly route needs one trace, and ``_trace_scaled(A, c)`` returns
 (s, t) with t / s = tr(A^{-1} diag(c)): in exact mode the two ints of
 ``ratmath.trace_scaled``, which builds no inverse, and in float mode the
-trace of ``np.linalg.solve``'s inverse with s = 1.0.  A comparison's bound
+trace of ``np.linalg.solve``'s inverse with s = 1.0, also over a stack of
+matrices (``kemeny_charpoly_stack``, which the census calls with its
+batches of walks).  A comparison's bound
 is 0 in exact mode, so one test serves both.  Routes return Fractions or
 builtin floats.
 """
@@ -117,13 +119,15 @@ def _trace_scaled(A: np.ndarray, c: np.ndarray, singular: str) -> tuple[Scalar, 
 
     In exact mode A and c are integral, and ``ratmath.trace_scaled`` returns
     s = det(A) and t = s tr(A^{-1} diag(c)) as ints, from one elimination
-    over the dual integers that builds no inverse.  In float mode s = 1.0
-    and t is read off ``np.linalg.solve``'s inverse.  A singular A raises
-    EngineError(singular).
+    over the dual integers that builds no inverse.  In float mode A may
+    carry leading axes, a stack of matrices, and t is then an array over
+    them: s = 1.0 and t is read off the inverses of one stacked
+    ``np.linalg.solve``.  A singular A raises EngineError(singular).
     """
     try:
         if A.dtype != object:
-            return 1.0, np.sum(c * np.diag(np.linalg.solve(A, np.eye(len(A)))))
+            X = np.linalg.solve(A, np.eye(A.shape[-1]))
+            return 1.0, np.sum(c * np.diagonal(X, axis1=-2, axis2=-1), axis=-1)
         return ratmath.trace_scaled(A.tolist(), c.tolist())
     except ValueError as exc:  # np.linalg.LinAlgError is a ValueError
         raise EngineError(singular) from exc
@@ -320,27 +324,49 @@ def kemeny_charpoly(P: ChainMatrix) -> Scalar:
     mode.  There ``ratmath.trace_scaled`` takes it from det(M + eps
     diag(c)) = s + t eps over the dual integers, by Jacobi's formula again,
     so no entry of M^{-1} is built; in float mode it is the trace of one
-    inverse.  Working at the root avoids the cancellation a probe of the
-    determinant suffers there and keeps the route independent of the
-    eigensolver and of the mfpt route's solve kernel and fundamental
-    matrix.
+    inverse, by ``kemeny_charpoly_stack`` on the one walk.  Working
+    at the root avoids the cancellation a probe of the determinant suffers
+    there and keeps the route independent of the eigensolver and of the
+    mfpt route's solve kernel and fundamental matrix.
 
     The deflation needs P 1 = 1, so only transition kinds are accepted; a
     unit root that is not simple makes I - P22 singular.
     """
     if P.kind not in TRANSITION_KINDS:
         raise EngineError(f"charpoly route needs a transition matrix, not {P.kind!r}")
-    N = P.order
-    if N == 1:
+    if P.order == 1:
         return Fraction(0) if P.exact else 0.0
-    e, F = P.rows
+    if not P.exact:
+        return float(kemeny_charpoly_stack(P.data))
+    s, t = _trace_scaled(*_deflated(*P.rows), _SINGULAR)
+    return Fraction(t, s)
+
+
+_SINGULAR = "unit root is not simple: deflated system singular"
+
+
+def _deflated(e, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c): the block c_i (row i of I - P22) of ``kemeny_charpoly`` for
+    P = diag(e)^{-1} F, over F's leading axes (float: e = 1, a stack of
+    walks)."""
+    N = F.shape[-1]
     e = np.broadcast_to(e, N)
     c = np.lcm(e[0], e[1:])
-    M = np.eye(N - 1, dtype=F.dtype) * c
-    M -= (c // e[1:])[:, None] * F[1:, 1:] - (c // e[0])[:, None] * F[0, 1:]
-    s, t = _trace_scaled(M, c, "unit root is not simple: deflated system singular")
-    k = _ratio(t, s, P.exact)
-    if not math.isfinite(k):
+    M = np.eye(N - 1, dtype=F.dtype) * c - (
+        (c // e[1:])[:, None] * F[..., 1:, 1:] - (c // e[0])[:, None] * F[..., :1, 1:])
+    return M, c
+
+
+def kemeny_charpoly_stack(P: np.ndarray) -> np.ndarray:
+    """The float charpoly route over a stack of float walks P (..., N, N),
+    N > 1: K of each, as an array over the leading axes, from one stacked
+    solve.  ``kemeny_charpoly`` hands it a float walk with no leading axis,
+    and LAPACK solves each matrix of a stack alone, so a walk's value does
+    not depend on the stack it is in.  A walk whose unit root is not simple
+    raises EngineError."""
+    s, t = _trace_scaled(*_deflated(1, P), _SINGULAR)
+    k = t / s
+    if not np.isfinite(k).all():
         raise EngineError("unit root is not simple: deflated trace diverged")
     return k
 

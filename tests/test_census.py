@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from nbkemeny import (
@@ -42,12 +43,12 @@ from nbkemeny import (
     sweep_skipped,
     to_graph6,
 )
-from nbkemeny import census, engine
+from nbkemeny import census, cli, engine
 from nbkemeny.engine import DEFAULT_TOL, agree
 from nbkemeny.graphs import from_masks, masks_connected
 
 import census_reference as reference
-from conftest import PETERSEN_EDGES, random_connected, to_networkx
+from conftest import PETERSEN_EDGES, random_connected, random_cubic, random_min2, to_networkx
 
 
 def relabel(g, perm):
@@ -443,17 +444,16 @@ class TestCensus:
     def test_float_tie_of_a_non_tie_is_decided_exactly(self, monkeypatch):
         # F}rE? is the nearest non-tie at n = 7: K_e = 1571/77 and
         # K_nb = 5387/264, 1.3e-4 apart; equal floats must not tie it.
-        # K_e is read as K_v + 2m - n
+        # K_e is read as K_v + 2m - n.  The float values come from the
+        # stacked entry, where the vertex walks are n x n and the arc walks
+        # 2m x 2m; the exact ones from kemeny_charpoly
         g = parse_graph6("F}rE?")
         shift = 2 * g.m - g.n
-        charpoly = census.kemeny_charpoly
 
         def tied(P):
-            if P.exact:
-                return charpoly(P)
-            return 20.4 - shift if P.kind == "vertex" else 20.4
+            return np.full(P.shape[:-2], 20.4 - shift if P.shape[-1] == g.n else 20.4)
 
-        monkeypatch.setattr(census, "kemeny_charpoly", tied)
+        monkeypatch.setattr(census, "kemeny_charpoly_stack", tied)
         record = census._evaluate(g)
         assert (record.k_e, record.k_nb) == (20.4, 20.4)
         assert record.diff_sign == "nb_larger_or_equal"
@@ -461,18 +461,50 @@ class TestCensus:
     def test_exact_tie_survives_float_error(self, monkeypatch):
         # Fs`_o has K_e = K_nb = 33/2; a float K_nb off by 1e-8 relative
         # is beyond the float agreement bound, not beyond the screen
-        charpoly = census.kemeny_charpoly
+        g = parse_graph6("Fs`_o")
+        charpoly = census.kemeny_charpoly_stack
 
         def nudged(P):
             k = charpoly(P)
-            if P.exact or P.kind != "non-backtracking":
-                return k
-            return k * (1 + 1e-8)
+            return k * (1 + 1e-8) if P.shape[-1] == 2 * g.m else k
 
-        monkeypatch.setattr(census, "kemeny_charpoly", nudged)
-        record = census._evaluate(parse_graph6("Fs`_o"))
+        monkeypatch.setattr(census, "kemeny_charpoly_stack", nudged)
+        record = census._evaluate(g)
         assert record.k_nb != record.k_e
         assert record.diff_sign == "equal"
+
+    def test_batches_do_not_move_values(self, monkeypatch):
+        # floats compared exactly: one graph per batch, one batch per
+        # (n, m), the default budget and graph-by-graph evaluation agree
+        want = census_nb_vs_edge(7).records
+        for entries in (1, 1 << 30):
+            monkeypatch.setattr(census, "BATCH_ENTRIES", entries)
+            assert census_nb_vs_edge(7).records == want
+        alone = [census._evaluate(g) for g in enumerate_graphs(7)
+                 if nb_walk_defect(g) is None]
+        assert tuple(sorted(alone, key=lambda r: (r.n, r.m, r.graph_id))) == want
+
+    @pytest.mark.parametrize("entries", [census.BATCH_ENTRIES, 1])
+    def test_interleaved_corpus_matches_graph_by_graph(self, monkeypatch, tmp_path, entries):
+        # an --input corpus whose sizes interleave, so several (n, m)
+        # batches are open at once; the n = 62 graph (2m = 186) fills a
+        # batch on its own
+        monkeypatch.setattr(census, "BATCH_ENTRIES", entries)
+        rng = random.Random(29)
+        k4, k33 = gen_complete(4), gen_complete_bipartite(3, 3)
+        petersen = from_edge_list(10, PETERSEN_EDGES)
+        perm = list(range(6))
+        rng.shuffle(perm)
+        graphs = [k4, k33, petersen, gen_cycle_barbell(2, 3, 4), k4,
+                  random_cubic(census.CANONICAL_MAX_N, rng), relabel(k33, perm),
+                  gen_complete(5), petersen, random_min2(9, rng), random_min2(9, rng)]
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        result = census_nb_vs_edge(cli._input_lines(str(corpus)))
+        assert result.skipped == ()
+        assert {(r.n, r.m) for r in result.records} == {(g.n, g.m) for g in graphs}
+        alone = [census._evaluate(g) for g in graphs]
+        assert result.records == tuple(sorted(alone, key=lambda r: (r.n, r.m, r.graph_id)))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_values_agree_with_spectral_route(self, n):

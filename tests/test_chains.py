@@ -32,6 +32,7 @@ from nbkemeny import (
     vertex_transition,
 )
 from nbkemeny import census
+from nbkemeny.chains import walk_stack
 
 
 @pytest.fixture(params=["K4", "K23", "barbell", "petersen"])
@@ -118,6 +119,26 @@ class TestConstructions:
             Mf = build_matrix(graph, kind, exact=False)
             Me = build_matrix(graph, kind, exact=True)
             assert np.allclose(Mf.data, Me.as_float(), atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge", "non-backtracking"])
+    def test_walk_stack_matches_one_graph_builders(self, kind):
+        # K_{2,3}, a relabeled copy and the bowtie: three graphs on n = 5, m = 6
+        k23 = gen_complete_bipartite(2, 3)
+        graphs = [k23, from_edge_list(5, [((u + 2) % 5, (v + 2) % 5) for u, v in k23.edges]),
+                  from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])]
+        stack = walk_stack(graphs, kind)
+        assert stack.shape == (3,) + build_matrix(k23, kind).shape
+        for g, P in zip(graphs, stack):
+            assert np.array_equal(P, build_matrix(g, kind).data)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_walk_stack_rows_are_checked(self):
+        # the second graph's arc 3 -> 4 (arc 10) enters a leaf, so its
+        # non-backtracking row has no step and reads 0/0
+        bowtie = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        leaf = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)])
+        with pytest.raises(ChainError, match="row 10 of non-backtracking matrix"):
+            walk_stack([bowtie, leaf], "non-backtracking")
 
 
 class TestIntegerRows:
