@@ -11,14 +11,17 @@ exhaustive generation", J. Algorithms 1998): a parent adds one non-edge
 per orbit of the automorphisms its canonical search proves, and a child
 is kept only if the added edge is its canonical deletion edge up to its
 own automorphisms, so every class is found once, with one stack and no
-table of certificates.  It works on ``graphs.Graph.masks``, adjacency
-row bitmasks.  It searches in one forked child (``engine._fork``, the
-engine's large-walk child), which sends each parent's children as soon
-as it has them, so a census evaluates while the search goes on; where
-no child may be forked (one CPU, no Linux thread count: macOS and
-Windows, or a failed fork) it searches in this process, with the same
-graphs and bytes.  Census values are computed
-with the float charpoly route (no eigensolve), K_e as K_v + 2m - n from
+table of certificates.  It augments only up to half the n(n-1)/2
+possible edges: complementation is a bijection on isomorphism classes,
+so each class above the half is the complement of one class below it,
+read off that class's rows.  It works on ``graphs.Graph.masks``,
+adjacency row bitmasks.  It searches in one forked child
+(``engine._fork``, the engine's large-walk child), which sends each
+parent's children and their complements as soon as it has them, so a
+census evaluates while the search goes on; where no child may be forked
+(one CPU, no Linux thread count: macOS and Windows, or a failed fork) it
+searches in this process, with the same graphs and bytes.  Census
+values are computed with the float charpoly route (no eigensolve), K_e as K_v + 2m - n from
 the n-state vertex walk.  The caller names each graph as it arrives and
 holds it with the others of its (n, m) until their batch is full
 (``BATCH_ENTRIES``); a batch stacks its vertex walks and its
@@ -294,15 +297,31 @@ def _deletion_matches(adj: Sequence[int], order: Sequence[int],
 
 def _search(n: int) -> Iterator[list]:
     """The connected graphs on n vertices, one per isomorphism class, as
-    lists of adjacency-row tuples: the empty graph's own list if it is
-    connected, then each parent's kept connected children, depth-first
-    (see enumerate_graphs).  Empty lists are not yielded."""
+    lists of adjacency-row tuples: the empty graph's item first, then one
+    item per parent, depth-first, with each kept child and then its
+    complement, those of the two that are connected.  The search stops at
+    half the n(n-1)/2 possible edges (see enumerate_graphs).  Empty lists
+    are not yielded."""
+    full = (1 << n) - 1
+    pairs = n * (n - 1) // 2
+    half = pairs // 2
+
+    def with_complement(adj: tuple, m: int) -> list:
+        rows = [adj] if masks_connected(adj) else []
+        if 2 * m < pairs:
+            co = tuple(full & ~row & ~(1 << i) for i, row in enumerate(adj))
+            if masks_connected(co):
+                rows.append(co)
+        return rows
+
     root = (0,) * n
-    if masks_connected(root):
-        yield [root]
-    stack = [(root, _canonical_core(n, root)[2])]
+    rows = with_complement(root, 0)
+    if rows:
+        yield rows
+    stack = [(root, _canonical_core(n, root)[2], 0)] if half else []
     while stack:
-        adj, generators = stack.pop()
+        adj, generators, size = stack.pop()
+        m = size + 1  # each child's edge count
         keys = _edge_keys(adj)
         kept = []
         for u, v in _orbit_leaders(n, adj, generators):
@@ -313,11 +332,12 @@ def _search(n: int) -> Iterator[list]:
                 continue
             _, order, found = _canonical_core(n, child)
             if _deletion_matches(child, order, found, u, v):
-                kept.append((tuple(child), found))
-        rows = [child for child, _ in kept if masks_connected(child)]
+                kept.append((tuple(child), found, m))
+        rows = [row for child, _, _ in kept for row in with_complement(child, m)]
         if rows:
             yield rows
-        stack.extend(reversed(kept))
+        if m < half:
+            stack.extend(reversed(kept))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -337,9 +357,16 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     outranks the added one is rejected first, with no canonical search.
     Every class is then reached from exactly one parent, whichever
     representative the search meets first, and the disconnected graphs
-    still parent the rest.  The graphs come out parent by parent: each
-    parent's kept connected children in (u, v) order, then each child's
-    subtree in turn, the first child's first.
+    still parent the rest.  The augmentation stops at m = floor(M/2)
+    edges, M = n(n-1)/2: a class with 2m < M also gives its complement,
+    the rows ``full & ~adj[i] & ~(1 << i)``, which has M - m > M/2 edges,
+    and complementation maps classes one to one, so each class above the
+    half is the complement of exactly one class the search keeps.  A
+    class with 2m = M (self-complementary ones among them) comes from the
+    search alone.  The graphs come out parent by parent: each of the
+    parent's kept children in (u, v) order, then its complement, those
+    of the two that are connected; then each child's subtree in turn,
+    the first child's first.
 
     Where ``engine._fork`` forks (POSIX fork, a readable kernel thread
     count, which Linux gives, and more than one CPU) the search

@@ -217,10 +217,29 @@ class TestEnumeration:
         names = "\n".join(sorted(canonical_graph6(g) for g in got))
         assert hashlib.sha256(names.encode()).hexdigest() == (
             "ea17e7bc10272221ed8804d888a102402e979b702ac60c76d7abaea473bde2cc")
-        # the depth-first sequence itself
+        # the depth-first sequence itself, each kept child then its complement
         edges = repr([g.edges for g in got])
         assert hashlib.sha256(edges.encode()).hexdigest() == (
-            "eb1d112ea007b28850d16045e08f43728e1136d7ff3aa72e08071daeefe7801f")
+            "7b4ef58ad2b92ee2d3f1db9e8df9318f32d87444ab3467ee630d1fa70e6360a5")
+
+    def test_search_stops_at_half_the_edges(self, monkeypatch):
+        # a class above half the n(n-1)/2 edges is the complement of one
+        # below, so no canonical search runs on it
+        core = census._canonical_core
+        calls = []
+
+        def counted(n, adj):
+            m = sum(row.bit_count() for row in adj) // 2
+            assert 2 * m <= n * (n - 1) // 2, adj
+            calls.append(n)
+            return core(n, adj)
+
+        monkeypatch.setattr(census, "_canonical_core", counted)
+        for n in range(1, 9):
+            for _ in census._search(n):
+                pass
+        # 21729 with the search run to the complete graph
+        assert calls.count(8) == 11966
 
     def test_key_pretest_only_skips_rejected_children(self, monkeypatch):
         # without the pretest every child is searched and the orbit rule
